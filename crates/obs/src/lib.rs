@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 
 mod serve;
-pub use serve::{ServeMetrics, ServeMetricsSnapshot};
+pub use serve::{HistogramSnapshot, ServeMetrics, ServeMetricsSnapshot};
 
 /// Number of power-of-two histogram buckets; bucket `i` counts values `v`
 /// with `ilog2(max(v,1)) == i`, the last bucket absorbing the tail.

@@ -14,10 +14,10 @@
 //!   cancelled / resumed / drained: the full life-cycle accounting the
 //!   chaos tests assert over (accepted = completed + failed + cancelled +
 //!   in-flight, with drained jobs re-entering as resumed);
-//! * **load signals** — admission-queue depth gauge and a request-latency
-//!   histogram (power-of-two microsecond buckets; exact percentiles come
-//!   from the bench harness, which records per-request latencies
-//!   client-side).
+//! * **load signals** — admission-queue depth gauge, a request-latency
+//!   histogram and one histogram per request phase (power-of-two
+//!   microsecond buckets; exact percentiles come from the bench harness,
+//!   which records per-request latencies client-side).
 
 use std::fmt::Write as _;
 
@@ -38,6 +38,9 @@ pub struct ServeMetrics {
     /// Connections dropped before a request could be parsed (malformed,
     /// oversized, or disconnected mid-header).
     pub http_parse_failures: Counter,
+    /// `accept` calls that failed (EMFILE, ENFILE, ECONNABORTED, ...); the
+    /// acceptor backs off 10 ms after each.
+    pub http_accept_errors: Counter,
 
     /// `POST /jobs` requests.
     pub ep_submit: Counter,
@@ -85,8 +88,23 @@ pub struct ServeMetrics {
 
     /// Admission-queue depth at last enqueue/dequeue.
     pub queue_depth: GaugeF64,
-    /// End-to-end request handling latency, microseconds.
+    /// Request handling latency, microseconds: a handler's pop of the
+    /// connection to the end of the response write (parse + handle +
+    /// write below).
     pub request_latency_us: Histogram,
+    /// Accept to a handler's pop of the connection, microseconds.
+    pub phase_queue_us: Histogram,
+    /// Reading and parsing the request, microseconds.
+    pub phase_parse_us: Histogram,
+    /// Routing and endpoint work, the response write excluded,
+    /// microseconds.
+    pub phase_handle_us: Histogram,
+    /// A submission's durable persistence (job directory, `spec.json`,
+    /// `input.txt`), microseconds; part of handle.
+    pub phase_persist_us: Histogram,
+    /// Writing the response, microseconds (a stream's whole body,
+    /// member waits included).
+    pub phase_write_us: Histogram,
 }
 
 impl ServeMetrics {
@@ -103,6 +121,7 @@ impl ServeMetrics {
             http_4xx: self.http_4xx.get(),
             http_5xx: self.http_5xx.get(),
             http_parse_failures: self.http_parse_failures.get(),
+            http_accept_errors: self.http_accept_errors.get(),
             ep_submit: self.ep_submit.get(),
             ep_status: self.ep_status.get(),
             ep_sample: self.ep_sample.get(),
@@ -130,8 +149,41 @@ impl ServeMetrics {
             latency_count: self.request_latency_us.count(),
             latency_sum_us: self.request_latency_us.sum(),
             latency_buckets: self.request_latency_us.buckets(),
+            phase_queue_us: HistogramSnapshot::of(&self.phase_queue_us),
+            phase_parse_us: HistogramSnapshot::of(&self.phase_parse_us),
+            phase_handle_us: HistogramSnapshot::of(&self.phase_handle_us),
+            phase_persist_us: HistogramSnapshot::of(&self.phase_persist_us),
+            phase_write_us: HistogramSnapshot::of(&self.phase_write_us),
         }
     }
+}
+
+/// Point-in-time copy of one [`Histogram`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct HistogramSnapshot {
+    /// Observations recorded.
+    pub count: u64,
+    /// Sum of the observations.
+    pub sum: u64,
+    /// Power-of-two buckets.
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
+}
+
+impl HistogramSnapshot {
+    fn of(h: &Histogram) -> Self {
+        Self {
+            count: h.count(),
+            sum: h.sum(),
+            buckets: h.buckets(),
+        }
+    }
+}
+
+/// The buckets up to the last non-zero one, as a JSON array body.
+fn pow2_buckets_json(buckets: &[u64]) -> String {
+    let len = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    let rendered: Vec<String> = buckets[..len].iter().map(u64::to_string).collect();
+    rendered.join(", ")
 }
 
 /// Point-in-time copy of a [`ServeMetrics`] registry.
@@ -147,6 +199,8 @@ pub struct ServeMetricsSnapshot {
     pub http_5xx: u64,
     /// See [`ServeMetrics::http_parse_failures`].
     pub http_parse_failures: u64,
+    /// See [`ServeMetrics::http_accept_errors`].
+    pub http_accept_errors: u64,
     /// See [`ServeMetrics::ep_submit`].
     pub ep_submit: u64,
     /// See [`ServeMetrics::ep_status`].
@@ -202,6 +256,16 @@ pub struct ServeMetricsSnapshot {
     pub latency_sum_us: u64,
     /// Power-of-two microsecond latency buckets.
     pub latency_buckets: [u64; HISTOGRAM_BUCKETS],
+    /// See [`ServeMetrics::phase_queue_us`].
+    pub phase_queue_us: HistogramSnapshot,
+    /// See [`ServeMetrics::phase_parse_us`].
+    pub phase_parse_us: HistogramSnapshot,
+    /// See [`ServeMetrics::phase_handle_us`].
+    pub phase_handle_us: HistogramSnapshot,
+    /// See [`ServeMetrics::phase_persist_us`].
+    pub phase_persist_us: HistogramSnapshot,
+    /// See [`ServeMetrics::phase_write_us`].
+    pub phase_write_us: HistogramSnapshot,
 }
 
 impl ServeMetricsSnapshot {
@@ -215,7 +279,8 @@ impl ServeMetricsSnapshot {
         let _ = writeln!(j, "    \"responses_2xx\": {},", self.http_2xx);
         let _ = writeln!(j, "    \"responses_4xx\": {},", self.http_4xx);
         let _ = writeln!(j, "    \"responses_5xx\": {},", self.http_5xx);
-        let _ = writeln!(j, "    \"parse_failures\": {}", self.http_parse_failures);
+        let _ = writeln!(j, "    \"parse_failures\": {},", self.http_parse_failures);
+        let _ = writeln!(j, "    \"accept_errors\": {}", self.http_accept_errors);
         let _ = writeln!(j, "  }},");
         let _ = writeln!(j, "  \"endpoints\": {{");
         let _ = writeln!(j, "    \"submit\": {},", self.ep_submit);
@@ -255,16 +320,30 @@ impl ServeMetricsSnapshot {
         let _ = writeln!(j, "  \"latency_us\": {{");
         let _ = writeln!(j, "    \"count\": {},", self.latency_count);
         let _ = writeln!(j, "    \"sum\": {},", self.latency_sum_us);
-        let last_nonzero = self
-            .latency_buckets
-            .iter()
-            .rposition(|&b| b != 0)
-            .map_or(0, |i| i + 1);
-        let rendered: Vec<String> = self.latency_buckets[..last_nonzero]
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        let _ = writeln!(j, "    \"buckets_pow2\": [{}]", rendered.join(", "));
+        let _ = writeln!(
+            j,
+            "    \"buckets_pow2\": [{}]",
+            pow2_buckets_json(&self.latency_buckets)
+        );
+        let _ = writeln!(j, "  }},");
+        let _ = writeln!(j, "  \"request_phases_us\": {{");
+        let phases = [
+            ("queue", &self.phase_queue_us),
+            ("parse", &self.phase_parse_us),
+            ("handle", &self.phase_handle_us),
+            ("persist", &self.phase_persist_us),
+            ("write", &self.phase_write_us),
+        ];
+        for (i, (name, h)) in phases.iter().enumerate() {
+            let sep = if i + 1 < phases.len() { "," } else { "" };
+            let _ = writeln!(
+                j,
+                "    \"{name}\": {{\"count\": {}, \"sum\": {}, \"buckets_pow2\": [{}]}}{sep}",
+                h.count,
+                h.sum,
+                pow2_buckets_json(&h.buckets)
+            );
+        }
         let _ = writeln!(j, "  }}");
         j.push('}');
         j.push('\n');
@@ -284,10 +363,16 @@ mod tests {
         m.jobs_shed.add(7);
         m.queue_depth.set(4.0);
         m.request_latency_us.record(100);
+        m.http_accept_errors.incr();
+        m.phase_write_us.record(6);
         let snap = m.snapshot();
         #[cfg(feature = "enabled")]
         {
             assert_eq!(snap.http_requests, 10);
+            assert_eq!(snap.http_accept_errors, 1);
+            assert_eq!((snap.phase_write_us.count, snap.phase_write_us.sum), (1, 6));
+            assert_eq!(snap.phase_write_us.buckets[2], 1);
+            assert_eq!(snap.phase_queue_us, HistogramSnapshot::default());
             assert_eq!(snap.jobs_accepted, 3);
             assert_eq!(snap.jobs_shed, 7);
             assert_eq!(snap.queue_depth, 4.0);
@@ -305,6 +390,7 @@ mod tests {
         m.http_requests.add(5);
         m.request_latency_us.record(1);
         m.request_latency_us.record(1 << 12);
+        m.phase_persist_us.record(1 << 10);
         let json = m.snapshot().to_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         for key in [
@@ -315,6 +401,13 @@ mod tests {
             "\"fault_injection\"",
             "\"queue_depth\"",
             "\"latency_us\"",
+            "\"accept_errors\"",
+            "\"request_phases_us\"",
+            "\"queue\": {\"count\"",
+            "\"parse\": {\"count\"",
+            "\"handle\": {\"count\"",
+            "\"persist\": {\"count\"",
+            "\"write\": {\"count\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

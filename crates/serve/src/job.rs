@@ -25,6 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use swap::StopRule;
 
@@ -249,6 +250,42 @@ impl Phase {
     }
 }
 
+/// Wall time this process spent on a job, by phase. Served live by
+/// `GET /jobs/<id>` as `timings_ms`; never persisted, so `status.json`
+/// and the recovery scan do not see it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct JobTimings {
+    /// Admission (or re-admission by the recovery scan) to a worker's pop.
+    pub queue: Duration,
+    /// Inside the mixing kernel, checkpoint I/O excluded.
+    pub mix: Duration,
+    /// Checkpoint writes, and the load of a resumed member's checkpoint.
+    pub ckpt: Duration,
+    /// Rendering and writing samples, and the completed job's
+    /// `status.json`.
+    pub write: Duration,
+}
+
+impl JobTimings {
+    fn add(&mut self, other: &JobTimings) {
+        self.queue += other.queue;
+        self.mix += other.mix;
+        self.ckpt += other.ckpt;
+        self.write += other.write;
+    }
+
+    /// The `timings_ms` object: milliseconds, microsecond resolution.
+    fn to_value(self) -> Value {
+        let ms = |d: Duration| Value::Num(format!("{:.3}", d.as_secs_f64() * 1e3));
+        Value::Obj(vec![
+            ("queue".to_string(), ms(self.queue)),
+            ("mix".to_string(), ms(self.mix)),
+            ("ckpt".to_string(), ms(self.ckpt)),
+            ("write".to_string(), ms(self.write)),
+        ])
+    }
+}
+
 /// Live, shared state of one admitted job.
 #[derive(Debug)]
 pub struct Job {
@@ -267,6 +304,10 @@ pub struct Job {
     phase: Mutex<Phase>,
     /// Signalled on member completion and phase change.
     pub progress: Condvar,
+    /// When this process admitted the job: the start of its queue wait.
+    admitted: Instant,
+    /// Phase times, from the moment a worker of this process pops the job.
+    timings: Mutex<Option<JobTimings>>,
 }
 
 impl Job {
@@ -281,7 +322,37 @@ impl Job {
             samples_done: AtomicUsize::new(done),
             phase: Mutex::new(Phase::Queued),
             progress: Condvar::new(),
+            admitted: Instant::now(),
+            timings: Mutex::new(None),
         }
+    }
+
+    /// A worker popped the job: start its timings, with the time since
+    /// admission as the queue wait.
+    pub(crate) fn start_timings(&self) {
+        *self.lock_timings() = Some(JobTimings {
+            queue: self.admitted.elapsed(),
+            ..JobTimings::default()
+        });
+    }
+
+    /// Add `delta` to the job's timings (ignored before
+    /// [`Job::start_timings`]).
+    pub(crate) fn add_timings(&self, delta: JobTimings) {
+        if let Some(t) = self.lock_timings().as_mut() {
+            t.add(&delta);
+        }
+    }
+
+    /// This process's phase times, once a worker has popped the job.
+    pub fn timings(&self) -> Option<JobTimings> {
+        *self.lock_timings()
+    }
+
+    fn lock_timings(&self) -> std::sync::MutexGuard<'_, Option<JobTimings>> {
+        self.timings
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Raise the stop flag for `reason`. The first reason wins: a cancel
@@ -359,20 +430,29 @@ impl Job {
         }
     }
 
-    /// The status document served by `GET /jobs/<id>`.
+    /// The status document served by `GET /jobs/<id>`: the persisted
+    /// fields plus `timings_ms` for a job a worker of this process ran.
     pub fn status_json(&self) -> String {
-        let phase = self.phase();
-        status_doc(
+        let mut doc = status_members(
             &self.spec.id,
-            &phase,
+            &self.phase(),
             self.samples_done.load(Ordering::Acquire),
             self.spec.samples,
-        )
+        );
+        if let Some(t) = self.timings() {
+            doc.push(("timings_ms".to_string(), t.to_value()));
+        }
+        Value::Obj(doc).to_json()
     }
 }
 
-/// Render a status document for a phase + progress pair.
+/// Render a status document for a phase + progress pair (the persisted
+/// `status.json`).
 pub fn status_doc(id: &str, phase: &Phase, done: usize, total: usize) -> String {
+    Value::Obj(status_members(id, phase, done, total)).to_json()
+}
+
+fn status_members(id: &str, phase: &Phase, done: usize, total: usize) -> Vec<(String, Value)> {
     let mut doc = vec![
         ("schema".to_string(), jstr("job_status_v1")),
         ("id".to_string(), jstr(id)),
@@ -384,7 +464,7 @@ pub fn status_doc(id: &str, phase: &Phase, done: usize, total: usize) -> String 
         doc.push(("error_code".to_string(), jstr(code.clone())));
         doc.push(("error".to_string(), jstr(message.clone())));
     }
-    Value::Obj(doc).to_json()
+    doc
 }
 
 /// Parse a persisted `status.json` back into a terminal [`Phase`] and the
@@ -626,6 +706,37 @@ mod tests {
             assert_eq!(back_done, done);
         }
         assert!(parse_status(&status_doc("j1", &Phase::Running, 0, 4)).is_err());
+    }
+
+    #[test]
+    fn live_status_carries_timings_once_a_worker_starts_the_job() {
+        let j = Job::new(spec("j1"), PathBuf::new(), 0);
+        let ms = |d: Duration| JobTimings {
+            mix: d,
+            ckpt: d / 4,
+            write: d / 8,
+            ..JobTimings::default()
+        };
+        j.add_timings(ms(Duration::from_secs(1)));
+        assert_eq!(
+            j.timings(),
+            None,
+            "nothing is timed before a worker pops the job"
+        );
+        assert!(!j.status_json().contains("timings_ms"));
+
+        j.start_timings();
+        j.add_timings(ms(Duration::from_micros(1_500)));
+        j.add_timings(ms(Duration::from_micros(500)));
+        let doc = json::parse(&j.status_json()).unwrap();
+        let t = doc.get("timings_ms").unwrap();
+        let field = |k: &str| t.get(k).and_then(Value::as_f64);
+        assert!(field("queue").is_some_and(|q| q >= 0.0));
+        assert_eq!(field("mix"), Some(2.0));
+        assert_eq!(field("ckpt"), Some(0.5));
+        assert_eq!(field("write"), Some(0.25));
+        // The persisted document stays as it was.
+        assert!(!status_doc("j1", &Phase::Running, 0, 4).contains("timings_ms"));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! | method & path              | purpose                                  |
 //! |----------------------------|------------------------------------------|
 //! | `POST /jobs?samples=&sweeps=&seed=…` | submit (body: edge list) → 202 / 503 |
-//! | `GET /jobs/<id>`           | status JSON                              |
+//! | `GET /jobs/<id>`           | status JSON (+ `timings_ms` once run)    |
 //! | `GET /jobs/<id>/samples/<k>` | completed member `k` (edge list)       |
 //! | `GET /jobs/<id>/stream`    | members as they complete (close-delim.)  |
 //! | `POST /jobs/<id>/cancel`   | cooperative cancel                       |

@@ -21,8 +21,9 @@
 //!   index is the RNG position, the final ensemble is byte-identical to an
 //!   uninterrupted run.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,8 +38,8 @@ use swap::{
 
 use crate::http::{self, Request};
 use crate::job::{
-    ckpt_path, sample_path, scan_job_dir, status_doc, stop_rule_from_fields, Job, JobSpec, Phase,
-    Recovered, StopReason,
+    ckpt_path, sample_path, scan_job_dir, status_doc, stop_rule_from_fields, Job, JobSpec,
+    JobTimings, Phase, Recovered, StopReason,
 };
 use crate::json::{num, str as jstr, Value};
 
@@ -153,8 +154,8 @@ struct Inner {
     /// Bounded admission queue.
     queue: Mutex<std::collections::VecDeque<Arc<Job>>>,
     queue_cv: Condvar,
-    /// Accepted connections awaiting a handler.
-    conns: Mutex<std::collections::VecDeque<TcpStream>>,
+    /// Accepted connections awaiting a handler, with their accept time.
+    conns: Mutex<std::collections::VecDeque<(TcpStream, Instant)>>,
     conns_cv: Condvar,
     next_id: AtomicU64,
     draining: AtomicBool,
@@ -249,7 +250,6 @@ impl Server {
 
         let listener = TcpListener::bind(&inner.config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let workers = (0..inner.config.workers.max(1))
             .map(|i| {
@@ -310,6 +310,11 @@ impl Server {
     /// Wait for workers to finish or checkpoint everything in flight, then
     /// stop the acceptor and handler threads. Blocks until a drain has
     /// been requested (it is the drain that makes workers exit).
+    ///
+    /// The acceptor is parked in a blocking `accept`; `join` wakes it with
+    /// a connection of its own to the bound port. Should that connection
+    /// fail, `join` leaves the acceptor detached instead of hanging: it
+    /// leaves at the next connection it accepts, or with the process.
     pub fn join(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -321,8 +326,10 @@ impl Server {
             self.inner.shutdown.store(true, Ordering::Release);
         }
         self.inner.conns_cv.notify_all();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_ok() {
+                let _ = acceptor.join();
+            }
         }
         for h in self.handlers.drain(..) {
             let _ = h.join();
@@ -410,6 +417,7 @@ enum MemberEnd {
 }
 
 fn run_job(inner: &Arc<Inner>, job: &Arc<Job>) {
+    job.start_timings();
     // A stop raised while the job was still queued.
     if job.stop.load(Ordering::Acquire) {
         finish_stopped(inner, job);
@@ -504,12 +512,18 @@ fn run_job(inner: &Arc<Inner>, job: &Arc<Job>) {
 
     let done = job.samples_done.load(Ordering::Acquire);
     let status = status_doc(&spec.id, &Phase::Completed, done, spec.samples);
-    if let Err(e) = vfs::write_atomic_retry(
+    let writing = Instant::now();
+    let written = vfs::write_atomic_retry(
         inner.fs(),
         &job.dir.join("status.json"),
         status.as_bytes(),
         &inner.config.retry,
-    ) {
+    );
+    job.add_timings(JobTimings {
+        write: writing.elapsed(),
+        ..JobTimings::default()
+    });
+    if let Err(e) = written {
         if matches!(e, GenError::StorageExhausted { .. }) {
             inner.degraded.store(true, Ordering::Release);
         }
@@ -550,13 +564,18 @@ fn run_member(
         panic!("chaos: injected panic in member {k}");
     }
     let ckpt_file = ckpt_path(&job.dir, k);
+    // Checkpoint I/O inside the kernel call, so the job's mix time can
+    // leave it out.
+    let ckpt_time = Cell::new(Duration::ZERO);
     let mut sink = |state: &MixState| -> Result<(), GenError> {
-        ckpt::write_atomic_retry(
-            inner.fs(),
-            &ckpt_file,
-            &ckpt::Snapshot::without_counters(state.clone()),
-            &inner.config.retry,
-        )?;
+        timed(&ckpt_time, || {
+            ckpt::write_atomic_retry(
+                inner.fs(),
+                &ckpt_file,
+                &ckpt::Snapshot::without_counters(state.clone()),
+                &inner.config.retry,
+            )
+        })?;
         Ok(())
     };
     let mut ctl = MixControl {
@@ -565,8 +584,9 @@ fn run_member(
         sink: Some(&mut sink),
     };
 
+    let mixing = Instant::now();
     let (graph, report) = if inner.fs().exists(&ckpt_file) {
-        let snap = match ckpt::load_vfs(inner.fs(), &ckpt_file) {
+        let snap = match timed(&ckpt_time, || ckpt::load_vfs(inner.fs(), &ckpt_file)) {
             Ok(s) => s,
             Err(ckpt::LoadError::Io(e)) => {
                 return MemberEnd::Failed(vfs::storage_error("read", &ckpt_file, &e, 0))
@@ -591,9 +611,15 @@ fn run_member(
             Err(e) => return MemberEnd::Failed(e),
         }
     };
+    job.add_timings(JobTimings {
+        mix: mixing.elapsed().saturating_sub(ckpt_time.get()),
+        ckpt: ckpt_time.get(),
+        ..JobTimings::default()
+    });
 
     match report.outcome {
         MixOutcome::Completed => {
+            let writing = Instant::now();
             let mut bytes = Vec::new();
             if let Err(e) = gio::write_edge_list(&graph, &mut bytes) {
                 return MemberEnd::Failed(GenError::BadInput {
@@ -611,18 +637,28 @@ fn run_member(
                 return MemberEnd::Failed(e);
             }
             let _ = inner.fs().remove_file(&ckpt_file);
+            job.add_timings(JobTimings {
+                write: writing.elapsed(),
+                ..JobTimings::default()
+            });
             MemberEnd::Done
         }
         MixOutcome::Interrupted => {
             // Persist the final state so the drain (or a later resume of a
             // cancelled job's debris) starts exactly where we stopped.
             if let Some(state) = &report.checkpoint {
-                if let Err(e) = ckpt::write_atomic_retry(
+                let saving = Instant::now();
+                let saved = ckpt::write_atomic_retry(
                     inner.fs(),
                     &ckpt_file,
                     &ckpt::Snapshot::without_counters(state.clone()),
                     &inner.config.retry,
-                ) {
+                );
+                job.add_timings(JobTimings {
+                    ckpt: saving.elapsed(),
+                    ..JobTimings::default()
+                });
+                if let Err(e) = saved {
                     return MemberEnd::Failed(e);
                 }
             }
@@ -630,6 +666,14 @@ fn run_member(
         }
         MixOutcome::BudgetExhausted => MemberEnd::Failed(report.budget_error(budget)),
     }
+}
+
+/// Run `f`, adding its wall time to `total`.
+fn timed<T>(total: &Cell<Duration>, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    total.set(total.get() + start.elapsed());
+    out
 }
 
 fn finish_stopped(inner: &Arc<Inner>, job: &Arc<Job>) {
@@ -666,47 +710,68 @@ fn finish_failed(inner: &Arc<Inner>, job: &Arc<Job>, code: &str, message: &str) 
 // HTTP side: acceptor, handlers, routing.
 // ---------------------------------------------------------------------
 
+/// Backoff after a failed `accept` (EMFILE, ENFILE, ECONNABORTED, ...), so
+/// a process out of file descriptors does not spin the acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long [`Server::join`] waits for the connection that wakes the
+/// acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Where [`Server::join`] connects to wake the acceptor: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `[::]`) replaced by the
+/// loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut wake = bound;
+    if bound.ip().is_unspecified() {
+        wake.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
+}
+
+/// Block in `accept`; nothing polls. The acceptor leaves on the first
+/// connection it accepts after `shutdown` is set, which [`Server::join`]
+/// supplies by connecting to the listener itself.
 fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
     while !inner.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let mut conns = inner.lock(&inner.conns);
-                if conns.len() >= CONN_QUEUE_CAP {
-                    drop(conns);
-                    // Shed at the door: a bounded queue, not a backlog.
-                    let mut stream = stream;
-                    inner.metrics.http_5xx.incr();
-                    let retry_ms = 500;
-                    let body = overloaded_body("connection_queue_full", CONN_QUEUE_CAP, retry_ms);
-                    let _ = http::write_response(
-                        &mut stream,
-                        503,
-                        "application/json",
-                        &[("Retry-After", retry_after_secs(retry_ms))],
-                        body.as_bytes(),
-                    );
-                } else {
-                    conns.push_back(stream);
-                    drop(conns);
-                    inner.conns_cv.notify_one();
-                }
+            // The wake-up connection, or a client racing it: dropped.
+            Ok(_) if inner.shutdown.load(Ordering::Acquire) => return,
+            Ok((stream, _)) => enqueue_conn(inner, stream),
+            Err(_) => {
+                inner.metrics.http_accept_errors.incr();
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
+/// Hand an accepted connection to the handlers, or shed it at the door
+/// when the connection queue is full: a bounded queue, not a backlog.
+fn enqueue_conn(inner: &Arc<Inner>, mut stream: TcpStream) {
+    let accepted = Instant::now();
+    let mut conns = inner.lock(&inner.conns);
+    if conns.len() < CONN_QUEUE_CAP {
+        conns.push_back((stream, accepted));
+        drop(conns);
+        inner.conns_cv.notify_one();
+        return;
+    }
+    drop(conns);
+    inner.metrics.http_5xx.incr();
+    overloaded("connection_queue_full", CONN_QUEUE_CAP, 500).write(&mut stream);
+}
+
 fn handler_loop(inner: &Arc<Inner>) {
     loop {
-        let stream = {
+        let (stream, accepted) = {
             let mut conns = inner.lock(&inner.conns);
             loop {
-                if let Some(s) = conns.pop_front() {
-                    break s;
+                if let Some(conn) = conns.pop_front() {
+                    break conn;
                 }
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
@@ -717,47 +782,110 @@ fn handler_loop(inner: &Arc<Inner>) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        handle_conn(inner, stream);
+        handle_conn(inner, stream, accepted);
     }
 }
 
-fn handle_conn(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let t0 = Instant::now();
+/// Serve one connection, timing each phase of a parsed request: queue
+/// (accept to pop), parse, handle and write. The last three add up to
+/// `request_latency_us`, up to microsecond rounding.
+fn handle_conn(inner: &Arc<Inner>, mut stream: TcpStream, accepted: Instant) {
+    let m = &inner.metrics;
+    let popped = Instant::now();
     let req = match http::read_request(&mut stream) {
         Ok(r) => r,
         Err(_) => {
-            inner.metrics.http_parse_failures.incr();
-            let _ = http::write_response(
-                &mut stream,
-                400,
-                "application/json",
-                &[],
-                error_body("bad_request", "malformed HTTP request").as_bytes(),
-            );
+            m.http_parse_failures.incr();
+            Reply::error(400, "bad_request", "malformed HTTP request").write(&mut stream);
             return;
         }
     };
-    inner.metrics.http_requests.incr();
-    let status = route(inner, &req, &mut stream);
+    let parsed = Instant::now();
+    m.http_requests.incr();
+    let reply = route(inner, &req);
+    let handled = Instant::now();
+    let status = reply.write(&mut stream);
+    let written = Instant::now();
     match status {
-        200..=299 => inner.metrics.http_2xx.incr(),
-        400..=499 => inner.metrics.http_4xx.incr(),
-        _ => inner.metrics.http_5xx.incr(),
+        200..=299 => m.http_2xx.incr(),
+        400..=499 => m.http_4xx.incr(),
+        _ => m.http_5xx.incr(),
     }
-    inner
-        .metrics
-        .request_latency_us
-        .record(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+    m.phase_queue_us.record(micros(popped - accepted));
+    m.phase_parse_us.record(micros(parsed - popped));
+    m.phase_handle_us.record(micros(handled - parsed));
+    m.phase_write_us.record(micros(written - handled));
+    m.request_latency_us.record(micros(written - popped));
 }
 
-/// JSON error body with a stable `error_code`.
-fn error_body(code: &str, message: &str) -> String {
-    Value::Obj(vec![
-        ("schema".to_string(), jstr("error_v1")),
-        ("error_code".to_string(), jstr(code)),
-        ("error".to_string(), jstr(message)),
-    ])
-    .to_json()
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// What the router decided. [`handle_conn`] writes it, so the socket
+/// write is timed apart from the endpoint's work.
+enum Reply {
+    /// A complete response with a known body.
+    Full {
+        status: u16,
+        content_type: &'static str,
+        headers: Vec<(&'static str, String)>,
+        body: Vec<u8>,
+    },
+    /// `GET /jobs/<id>/stream`: members written as they complete.
+    Stream(Arc<Job>),
+}
+
+impl Reply {
+    fn json(status: u16, body: String) -> Self {
+        Reply::Full {
+            status,
+            content_type: "application/json",
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        }
+    }
+
+    /// A JSON error body with a stable `error_code`.
+    fn error(status: u16, code: &str, message: &str) -> Self {
+        let body = Value::Obj(vec![
+            ("schema".to_string(), jstr("error_v1")),
+            ("error_code".to_string(), jstr(code)),
+            ("error".to_string(), jstr(message)),
+        ]);
+        Self::json(status, body.to_json())
+    }
+
+    /// A 503 whose `Retry-After` header agrees with the body's
+    /// `retry_after_ms`.
+    fn shed(retry_after_ms: u64, body: String) -> Self {
+        Reply::Full {
+            status: 503,
+            content_type: "application/json",
+            headers: vec![("Retry-After", retry_after_secs(retry_after_ms))],
+            body: body.into_bytes(),
+        }
+    }
+
+    /// Write the response; returns its status. A client that went away
+    /// mid-write is not the server's error.
+    fn write(self, stream: &mut TcpStream) -> u16 {
+        match self {
+            Reply::Full {
+                status,
+                content_type,
+                headers,
+                body,
+            } => {
+                let _ = http::write_response(stream, status, content_type, &headers, &body);
+                status
+            }
+            Reply::Stream(job) => {
+                stream_samples(&job, stream);
+                200
+            }
+        }
+    }
 }
 
 /// The `Retry-After` header value derived from the same hint the JSON
@@ -769,29 +897,30 @@ fn retry_after_secs(retry_after_ms: u64) -> String {
     retry_after_ms.div_ceil(1000).max(1).to_string()
 }
 
-/// The typed `overloaded` body, matching `GenError::Overloaded`'s fields.
-fn overloaded_body(reason: &str, capacity: usize, retry_after_ms: u64) -> String {
+/// The typed `overloaded` 503, matching `GenError::Overloaded`'s fields.
+fn overloaded(reason: &str, capacity: usize, retry_after_ms: u64) -> Reply {
     let e = GenError::Overloaded {
         reason: reason.to_string(),
         queue_depth: capacity,
         capacity,
         retry_after_ms,
     };
-    Value::Obj(vec![
+    let body = Value::Obj(vec![
         ("schema".to_string(), jstr("error_v1")),
         ("error_code".to_string(), jstr(e.error_code())),
         ("error".to_string(), jstr(e.to_string())),
         ("reason".to_string(), jstr(reason)),
         ("retry_after_ms".to_string(), num(retry_after_ms)),
     ])
-    .to_json()
+    .to_json();
+    Reply::shed(retry_after_ms, body)
 }
 
-/// The typed `storage_exhausted` shed body: admission is refused because
-/// the state directory cannot durably accept a new job, not because the
-/// queue is full — clients distinguish the two by `error_code`.
-fn storage_exhausted_body(retry_after_ms: u64) -> String {
-    Value::Obj(vec![
+/// The typed `storage_exhausted` 503: admission is refused because the
+/// state directory cannot durably accept a new job, not because the queue
+/// is full — clients distinguish the two by `error_code`.
+fn storage_exhausted(retry_after_ms: u64) -> Reply {
+    let body = Value::Obj(vec![
         ("schema".to_string(), jstr("error_v1")),
         ("error_code".to_string(), jstr("storage_exhausted")),
         (
@@ -800,49 +929,38 @@ fn storage_exhausted_body(retry_after_ms: u64) -> String {
         ),
         ("retry_after_ms".to_string(), num(retry_after_ms)),
     ])
-    .to_json()
+    .to_json();
+    Reply::shed(retry_after_ms, body)
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    headers: &[(&str, String)],
-    body: &[u8],
-) -> u16 {
-    let _ = http::write_response(stream, status, content_type, headers, body);
-    status
-}
-
-fn respond_json(stream: &mut TcpStream, status: u16, body: &str) -> u16 {
-    respond(stream, status, "application/json", &[], body.as_bytes())
-}
-
-fn route(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
+fn route(inner: &Arc<Inner>, req: &Request) -> Reply {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("POST", ["jobs"]) => {
             inner.metrics.ep_submit.incr();
-            submit(inner, req, stream)
+            submit(inner, req)
         }
         ("GET", ["jobs", id]) => {
             inner.metrics.ep_status.incr();
             match lookup(inner, id) {
-                Some(job) => respond_json(stream, 200, &job.status_json()),
-                None => respond_json(stream, 404, &error_body("not_found", "no such job")),
+                Some(job) => Reply::json(200, job.status_json()),
+                None => Reply::error(404, "not_found", "no such job"),
             }
         }
         ("GET", ["jobs", id, "samples", k]) => {
             inner.metrics.ep_sample.incr();
-            sample(inner, id, k, stream)
+            sample(inner, id, k)
         }
         ("GET", ["jobs", id, "stream"]) => {
             inner.metrics.ep_stream.incr();
-            stream_samples(inner, id, stream)
+            match lookup(inner, id) {
+                Some(job) => Reply::Stream(job),
+                None => Reply::error(404, "not_found", "no such job"),
+            }
         }
         ("POST", ["jobs", id, "cancel"]) => {
             inner.metrics.ep_cancel.incr();
-            cancel(inner, id, stream)
+            cancel(inner, id)
         }
         ("GET", ["healthz"]) => {
             inner.metrics.ep_healthz.incr();
@@ -858,7 +976,7 @@ fn route(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
                 ),
             ])
             .to_json();
-            respond_json(stream, 200, &body)
+            Reply::json(200, body)
         }
         ("GET", ["metrics"]) => {
             inner.metrics.ep_metrics.incr();
@@ -875,20 +993,19 @@ fn route(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
                     .map(|(k, v)| (k.to_string(), *v))
                     .collect();
             }
-            respond_json(stream, 200, &snap.to_json())
+            Reply::json(200, snap.to_json())
         }
         ("POST", ["admin", "drain"]) => {
             inner.metrics.ep_drain.incr();
             inner.begin_drain();
-            respond_json(
-                stream,
+            Reply::json(
                 200,
-                &Value::Obj(vec![("draining".to_string(), Value::Bool(true))]).to_json(),
+                Value::Obj(vec![("draining".to_string(), Value::Bool(true))]).to_json(),
             )
         }
         _ => {
             inner.metrics.ep_unknown.incr();
-            respond_json(stream, 404, &error_body("not_found", "no such endpoint"))
+            Reply::error(404, "not_found", "no such endpoint")
         }
     }
 }
@@ -897,18 +1014,10 @@ fn lookup(inner: &Arc<Inner>, id: &str) -> Option<Arc<Job>> {
     inner.lock(&inner.jobs).get(id).cloned()
 }
 
-fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
+fn submit(inner: &Arc<Inner>, req: &Request) -> Reply {
     if inner.draining.load(Ordering::Acquire) {
         inner.metrics.jobs_shed.incr();
-        let retry_ms = 1_000;
-        let body = overloaded_body("draining", inner.config.queue_capacity, retry_ms);
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[("Retry-After", retry_after_secs(retry_ms))],
-            body.as_bytes(),
-        );
+        return overloaded("draining", inner.config.queue_capacity, 1_000);
     }
 
     // Graceful degradation: after a worker hit ENOSPC, shed new admissions
@@ -920,15 +1029,7 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
             inner.degraded.store(false, Ordering::Release);
         } else {
             inner.metrics.jobs_shed_storage.incr();
-            let retry_ms = 5_000;
-            let body = storage_exhausted_body(retry_ms);
-            return respond(
-                stream,
-                503,
-                "application/json",
-                &[("Retry-After", retry_after_secs(retry_ms))],
-                body.as_bytes(),
-            );
+            return storage_exhausted(5_000);
         }
     }
 
@@ -942,9 +1043,9 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
         Ok(v) if (1..=100_000).contains(&v) => v as usize,
         Ok(v) => {
             let msg = format!("samples must be in 1..=100000, got {v}");
-            return respond_json(stream, 400, &error_body("bad_input", &msg));
+            return Reply::error(400, "bad_input", &msg);
         }
-        Err(msg) => return respond_json(stream, 400, &error_body("bad_input", &msg)),
+        Err(msg) => return Reply::error(400, "bad_input", &msg),
     };
     let (sweeps, seed, max_grows) = match (
         parse_u64("sweeps", 10),
@@ -952,9 +1053,7 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
         parse_u64("max_grows", 4),
     ) {
         (Ok(sw), Ok(se), Ok(mg)) => (sw as usize, se, mg as u32),
-        (Err(m), ..) | (_, Err(m), _) | (.., Err(m)) => {
-            return respond_json(stream, 400, &error_body("bad_input", &m))
-        }
+        (Err(m), ..) | (_, Err(m), _) | (.., Err(m)) => return Reply::error(400, "bad_input", &m),
     };
     let parse_opt_u64 = |key: &str| -> Result<Option<u64>, String> {
         match req.query_param(key) {
@@ -973,7 +1072,7 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
     ) {
         (Ok(b), Ok(c), Ok(m), Ok(w)) => (b, c, m, w),
         (Err(m), ..) | (_, Err(m), ..) | (_, _, Err(m), _) | (.., Err(m)) => {
-            return respond_json(stream, 400, &error_body("bad_input", &m))
+            return Reply::error(400, "bad_input", &m)
         }
     };
     let threshold = match req.query_param("threshold") {
@@ -982,7 +1081,7 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
             Ok(v) => Some(v),
             Err(_) => {
                 let msg = format!("invalid threshold: {raw:?}");
-                return respond_json(stream, 400, &error_body("bad_input", &msg));
+                return Reply::error(400, "bad_input", &msg);
             }
         },
     };
@@ -991,20 +1090,20 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
     let stop = match stop_rule_from_fields(req.query_param("until"), threshold, min_ess, ess_window)
     {
         Ok(s) => s,
-        Err(msg) => return respond_json(stream, 400, &error_body("bad_input", &msg)),
+        Err(msg) => return Reply::error(400, "bad_input", &msg),
     };
     let serial_fallback = req.query_param("serial_fallback") != Some("false");
     let panic_member = match req.query_param("panic_member") {
         None => None,
         Some(_) if !inner.config.chaos => {
             let msg = "panic_member requires the server to run with --chaos";
-            return respond_json(stream, 400, &error_body("bad_input", msg));
+            return Reply::error(400, "bad_input", msg);
         }
         Some(raw) => match raw.parse::<usize>() {
             Ok(v) => Some(v),
             Err(_) => {
                 let msg = format!("invalid panic_member: {raw:?}");
-                return respond_json(stream, 400, &error_body("bad_input", &msg));
+                return Reply::error(400, "bad_input", &msg);
             }
         },
     };
@@ -1013,7 +1112,7 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
         Ok(g) => g,
         Err(e) => {
             let msg = format!("invalid edge list: {e}");
-            return respond_json(stream, 400, &error_body("bad_input", &msg));
+            return Reply::error(400, "bad_input", &msg);
         }
     };
 
@@ -1025,15 +1124,7 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
         drop(queue);
         inner.metrics.jobs_shed.incr();
         // Retry once roughly one queued job's worth of work has drained.
-        let retry_ms = 500;
-        let body = overloaded_body("queue_full", inner.config.queue_capacity, retry_ms);
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[("Retry-After", retry_after_secs(retry_ms))],
-            body.as_bytes(),
-        );
+        return overloaded("queue_full", inner.config.queue_capacity, 500);
     }
 
     let id = format!("j{:08x}", inner.next_id.fetch_add(1, Ordering::AcqRel));
@@ -1050,11 +1141,16 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
         panic_member,
     };
     let dir = inner.jobs_dir().join(&id);
+    let persisting = Instant::now();
     let persist = (|| -> Result<(), GenError> {
         inner
             .fs()
             .create_dir_all(&dir)
             .map_err(|e| vfs::storage_error("create_dir_all", &dir, &e, 0))?;
+        // The new directory's entry lives in `jobs/`: sync that too, or a
+        // power cut could drop an accepted job whose files were synced.
+        // Tolerated like `write_atomic`'s own directory sync.
+        let _ = inner.fs().fsync_dir(&inner.jobs_dir());
         let mut input_bytes = Vec::new();
         gio::write_edge_list(&input, &mut input_bytes).map_err(|e| GenError::BadInput {
             line: None,
@@ -1075,24 +1171,20 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
         )?;
         Ok(())
     })();
+    inner
+        .metrics
+        .phase_persist_us
+        .record(micros(persisting.elapsed()));
     if let Err(e) = persist {
         drop(queue);
         let _ = std::fs::remove_dir_all(&dir);
         if matches!(e, GenError::StorageExhausted { .. }) {
             inner.degraded.store(true, Ordering::Release);
             inner.metrics.jobs_shed_storage.incr();
-            let retry_ms = 5_000;
-            let body = storage_exhausted_body(retry_ms);
-            return respond(
-                stream,
-                503,
-                "application/json",
-                &[("Retry-After", retry_after_secs(retry_ms))],
-                body.as_bytes(),
-            );
+            return storage_exhausted(5_000);
         }
         let msg = format!("cannot persist job: {e}");
-        return respond_json(stream, 500, &error_body(e.error_code(), &msg));
+        return Reply::error(500, e.error_code(), &msg);
     }
 
     let job = Arc::new(Job::new(spec, dir, 0));
@@ -1109,40 +1201,36 @@ fn submit(inner: &Arc<Inner>, req: &Request, stream: &mut TcpStream) -> u16 {
         ("status_url".to_string(), jstr(format!("/jobs/{id}"))),
     ])
     .to_json();
-    respond_json(stream, 202, &body)
+    Reply::json(202, body)
 }
 
-fn sample(inner: &Arc<Inner>, id: &str, k: &str, stream: &mut TcpStream) -> u16 {
+fn sample(inner: &Arc<Inner>, id: &str, k: &str) -> Reply {
     let Some(job) = lookup(inner, id) else {
-        return respond_json(stream, 404, &error_body("not_found", "no such job"));
+        return Reply::error(404, "not_found", "no such job");
     };
     let Ok(k) = k.parse::<usize>() else {
-        return respond_json(
-            stream,
-            400,
-            &error_body("bad_input", "invalid sample index"),
-        );
+        return Reply::error(400, "bad_input", "invalid sample index");
     };
     if k >= job.spec.samples {
-        return respond_json(stream, 404, &error_body("not_found", "sample out of range"));
+        return Reply::error(404, "not_found", "sample out of range");
     }
     match std::fs::read(sample_path(&job.dir, k)) {
-        Ok(bytes) => respond(stream, 200, "text/plain", &[], &bytes),
-        Err(_) => respond_json(
-            stream,
-            404,
-            &error_body("not_ready", "sample not generated yet"),
-        ),
+        Ok(body) => Reply::Full {
+            status: 200,
+            content_type: "text/plain",
+            headers: Vec::new(),
+            body,
+        },
+        Err(_) => Reply::error(404, "not_ready", "sample not generated yet"),
     }
 }
 
-fn stream_samples(inner: &Arc<Inner>, id: &str, stream: &mut TcpStream) -> u16 {
+/// The body of `GET /jobs/<id>/stream`: each member as it completes,
+/// close-delimited.
+fn stream_samples(job: &Job, stream: &mut TcpStream) {
     use std::io::Write as _;
-    let Some(job) = lookup(inner, id) else {
-        return respond_json(stream, 404, &error_body("not_found", "no such job"));
-    };
     if http::write_stream_head(stream, 200, "text/plain").is_err() {
-        return 200;
+        return;
     }
     for k in 0..job.spec.samples {
         let phase = job.wait_for_member(k);
@@ -1150,32 +1238,31 @@ fn stream_samples(inner: &Arc<Inner>, id: &str, stream: &mut TcpStream) -> u16 {
             // Terminal (or drained) before member k existed.
             let _ = writeln!(stream, "# end {}", phase.name());
             let _ = stream.flush();
-            return 200;
+            return;
         }
         let bytes = match std::fs::read(sample_path(&job.dir, k)) {
             Ok(b) => b,
             Err(_) => {
                 let _ = writeln!(stream, "# end io_error");
-                return 200;
+                return;
             }
         };
         if writeln!(stream, "# sample {k}").is_err() || stream.write_all(&bytes).is_err() {
-            return 200; // client went away
+            return; // client went away
         }
     }
     let _ = writeln!(stream, "# end {}", job.phase().name());
     let _ = stream.flush();
-    200
 }
 
-fn cancel(inner: &Arc<Inner>, id: &str, stream: &mut TcpStream) -> u16 {
+fn cancel(inner: &Arc<Inner>, id: &str) -> Reply {
     let Some(job) = lookup(inner, id) else {
-        return respond_json(stream, 404, &error_body("not_found", "no such job"));
+        return Reply::error(404, "not_found", "no such job");
     };
     let phase = job.phase();
     if phase.is_terminal() {
         let msg = format!("job already {}", phase.name());
-        return respond_json(stream, 409, &error_body("job_already_terminal", &msg));
+        return Reply::error(409, "job_already_terminal", &msg);
     }
     job.request_stop(StopReason::Cancel);
     inner.queue_cv.notify_all();
@@ -1185,7 +1272,7 @@ fn cancel(inner: &Arc<Inner>, id: &str, stream: &mut TcpStream) -> u16 {
         ("cancelling".to_string(), Value::Bool(true)),
     ])
     .to_json();
-    respond_json(stream, 200, &body)
+    Reply::json(200, body)
 }
 
 #[cfg(test)]
@@ -1204,5 +1291,15 @@ mod tests {
         assert_eq!(retry_after_secs(1_001), "2");
         assert_eq!(retry_after_secs(2_500), "3");
         assert_eq!(retry_after_secs(60_000), "60");
+    }
+
+    #[test]
+    fn wake_address_maps_unspecified_ips_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("[::]:8080"), "[::1]:8080");
+        assert_eq!(wake("127.0.0.1:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("10.1.2.3:9"), "10.1.2.3:9");
+        assert_eq!(wake("[fe80::1%2]:9"), "[fe80::1%2]:9");
     }
 }

@@ -1,14 +1,18 @@
 //! End-to-end tests of the ensemble server over real sockets: the happy
-//! path, load shedding, cancellation, and drain → restart → resume
-//! byte-identity against the in-process reference ensemble.
+//! path, load shedding, cancellation, drain → restart → resume
+//! byte-identity against the in-process reference ensemble, the blocking
+//! acceptor, and the request and job timings.
 
+use std::io;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use graphcore::{io as gio, EdgeList};
 use serve::client;
-use serve::{ServeConfig, Server};
+use serve::json::Value;
+use serve::{Phase, ServeConfig, Server};
 
 const T: Duration = Duration::from_secs(30);
 
@@ -301,5 +305,230 @@ fn healthz_reports_drain_state() {
     server.request_drain();
     let resp = client::get(addr, "/healthz", T).unwrap();
     assert!(resp.text().contains("\"draining\":true"));
+    server.join();
+}
+
+#[test]
+fn idle_healthz_answers_without_an_accept_tick() {
+    let server = Server::start(test_config(tmp_state("healthz-latency"))).unwrap();
+    let addr = server.local_addr();
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let resp = client::get(addr, "/healthz", T).unwrap();
+            assert_eq!(resp.status, 200);
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = (ms[9] + ms[10]) / 2.0;
+    assert!(
+        median < 3.0,
+        "median /healthz latency {median:.3} ms on an idle server: {ms:?}"
+    );
+    server.request_drain();
+    server.join();
+}
+
+#[test]
+fn drain_and_join_return_promptly_on_a_server_that_never_served() {
+    // The acceptor is parked in a blocking accept; join must wake it, also
+    // when the server is bound to the unspecified address.
+    for (i, bind) in ["127.0.0.1:0", "0.0.0.0:0"].into_iter().enumerate() {
+        let mut config = test_config(tmp_state(&format!("idle-join-{i}")));
+        config.addr = bind.into();
+        let server = Server::start(config).unwrap();
+        let (done, joined) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.request_drain();
+            server.join();
+            let _ = done.send(());
+        });
+        assert!(
+            joined.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "drain + join of a server bound to {bind} did not return within 2 s"
+        );
+        stopper.join().unwrap();
+    }
+}
+
+/// [`vfs::RealVfs`] that logs each operation with its path.
+#[derive(Debug, Default)]
+struct RecordingVfs {
+    ops: Mutex<Vec<(&'static str, PathBuf)>>,
+}
+
+impl RecordingVfs {
+    fn log(&self, op: &'static str, path: &Path) {
+        self.ops.lock().unwrap().push((op, path.to_path_buf()));
+    }
+
+    fn ops(&self) -> Vec<(&'static str, PathBuf)> {
+        self.ops.lock().unwrap().clone()
+    }
+}
+
+impl vfs::Vfs for RecordingVfs {
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.log("write", path);
+        vfs::RealVfs.write(path, bytes)
+    }
+    fn fsync(&self, path: &Path) -> io::Result<()> {
+        self.log("fsync", path);
+        vfs::RealVfs.fsync(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.log("rename", to);
+        vfs::RealVfs.rename(from, to)
+    }
+    fn fsync_dir(&self, path: &Path) -> io::Result<()> {
+        self.log("fsync_dir", path);
+        vfs::RealVfs.fsync_dir(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.log("read", path);
+        vfs::RealVfs.read(path)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.log("remove_file", path);
+        vfs::RealVfs.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.log("create_dir_all", path);
+        vfs::RealVfs.create_dir_all(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        vfs::RealVfs.exists(path)
+    }
+}
+
+#[test]
+fn durable_202_also_syncs_the_job_directory_entry() {
+    let state = tmp_state("jobs-dir-sync");
+    let fs = Arc::new(RecordingVfs::default());
+    let mut config = test_config(state.clone());
+    config.vfs = fs.clone();
+    let server = Server::start(config).unwrap();
+
+    let (status, body) = submit(server.local_addr(), "samples=1&sweeps=2&seed=5", &ring(16));
+    // Everything in the log now happened before the 202 reached us.
+    let ops = fs.ops();
+    assert_eq!(status, 202, "{body}");
+    let id = body_field(&body, "id").unwrap();
+    let jobs = state.join("jobs");
+    let created = ops
+        .iter()
+        .position(|(op, p)| *op == "create_dir_all" && *p == jobs.join(&id))
+        .unwrap_or_else(|| panic!("no create_dir_all of the job dir before the 202: {ops:?}"));
+    assert!(
+        ops[created..]
+            .iter()
+            .any(|(op, p)| *op == "fsync_dir" && *p == jobs),
+        "jobs/ not synced between creating jobs/{id} and the 202: {ops:?}"
+    );
+
+    server.request_drain();
+    server.join();
+}
+
+fn ms_field(v: &Value, key: &str) -> f64 {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("missing timings_ms.{key}"))
+}
+
+#[test]
+fn completed_job_reports_phase_timings_live_but_not_on_disk() {
+    let state = tmp_state("job-timings");
+    let server = Server::start(test_config(state.clone())).unwrap();
+    let addr = server.local_addr();
+    let (status, body) = submit(addr, "samples=2&sweeps=5&seed=8&ckpt_sweeps=1", &ring(256));
+    assert_eq!(status, 202, "{body}");
+    let id = body_field(&body, "id").unwrap();
+    wait_phase(addr, &id, "completed", Duration::from_secs(60));
+
+    let live = client::get(addr, &format!("/jobs/{id}"), T).unwrap().text();
+    let doc = serve::json::parse(&live).unwrap();
+    let timings = doc.get("timings_ms").unwrap_or_else(|| panic!("{live}"));
+    assert!(ms_field(timings, "queue") >= 0.0, "{live}");
+    for key in ["mix", "ckpt", "write"] {
+        assert!(ms_field(timings, key) > 0.0, "{key} not timed: {live}");
+    }
+
+    // The persisted record is unchanged: no timings, and it parses.
+    let path = state.join("jobs").join(&id).join("status.json");
+    let on_disk = std::fs::read_to_string(path).unwrap();
+    assert!(!on_disk.contains("timings_ms"), "{on_disk}");
+    assert_eq!(
+        serve::job::parse_status(&on_disk).unwrap(),
+        (Phase::Completed, 2)
+    );
+    server.request_drain();
+    server.join();
+
+    // A process that did not run the job reports no timings for it.
+    let server = Server::start(test_config(state)).unwrap();
+    let resp = client::get(server.local_addr(), &format!("/jobs/{id}"), T).unwrap();
+    assert!(
+        resp.text().contains("\"phase\":\"completed\""),
+        "{}",
+        resp.text()
+    );
+    assert!(!resp.text().contains("timings_ms"), "{}", resp.text());
+    server.request_drain();
+    server.join();
+}
+
+#[test]
+fn request_phases_add_up_to_the_request_latency() {
+    let server = Server::start(test_config(tmp_state("request-phases"))).unwrap();
+    let addr = server.local_addr();
+    let (status, body) = submit(addr, "samples=1&sweeps=2&seed=4", &ring(64));
+    assert_eq!(status, 202, "{body}");
+    let id = body_field(&body, "id").unwrap();
+    wait_phase(addr, &id, "completed", Duration::from_secs(60));
+    let resp = client::get(addr, &format!("/jobs/{id}/samples/0"), T).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(client::get(addr, "/nowhere", T).unwrap().status, 404);
+
+    // Requests are sequential and each is recorded before its connection
+    // closes, so the scrape sees every earlier request, and not itself.
+    let text = client::get(addr, "/metrics", T).unwrap().text();
+    let m = serve::json::parse(&text).unwrap();
+    let field = |path: &[&str]| {
+        path.iter()
+            .try_fold(&m, |v, k| v.get(k))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("missing {path:?} in {text}"))
+    };
+    let requests = field(&["http", "requests"]) - 1;
+    assert_eq!(field(&["http", "accept_errors"]), 0);
+    assert_eq!(field(&["latency_us", "count"]), requests);
+    for phase in ["queue", "parse", "handle", "write"] {
+        assert_eq!(
+            field(&["request_phases_us", phase, "count"]),
+            requests,
+            "{phase}: {text}"
+        );
+    }
+    assert_eq!(field(&["request_phases_us", "persist", "count"]), 1);
+    assert!(
+        field(&["request_phases_us", "persist", "sum"])
+            <= field(&["request_phases_us", "handle", "sum"]),
+        "persist is part of handle: {text}"
+    );
+    // parse + handle + write tile the latency; each is truncated to whole
+    // microseconds on its own, so the parts fall short by under 3 µs each.
+    let latency = field(&["latency_us", "sum"]);
+    let parts: u64 = ["parse", "handle", "write"]
+        .iter()
+        .map(|p| field(&["request_phases_us", p, "sum"]))
+        .sum();
+    assert!(
+        parts <= latency && latency - parts < 3 * requests,
+        "phases {parts} µs vs latency {latency} µs over {requests} requests"
+    );
+
+    server.request_drain();
     server.join();
 }
