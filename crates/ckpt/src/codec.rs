@@ -1,4 +1,4 @@
-//! Binary encode/decode of `ckpt_v1`.
+//! Binary encode/decode of `ckpt_v2`.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -15,13 +15,12 @@
 //!                 u64  completed sweeps (the RNG stream position)
 //!                 u64  vertex count
 //!                 u8   flags: bit0 = track_violations,
-//!                             bit1 = stop rule is Threshold,
-//!                             bit2 = stop rule is Converged
-//!                               (bit1 and bit2 are mutually exclusive),
+//!                             bit1 = retired (the ever-swapped threshold
+//!                               stop rule; a file with it set is refused),
+//!                             bit2 = stop rule is Converged,
 //!                             bit3 = track_diagnostics
-//!                 u64  stop-rule parameter: threshold bits (f64) under
-//!                      Threshold, `(min_ess << 32) | window` under
-//!                      Converged, 0 for FixedSweeps
+//!                 u64  stop-rule parameter: `(min_ess << 32) | window`
+//!                      under Converged, 0 for FixedSweeps
 //!                 u64  m = edge count
 //!                 m×u64    edge keys, in current slot order
 //!                 ⌈m/8⌉×u8 ever-swapped flags, bit i of byte i/8,
@@ -63,16 +62,16 @@ pub const VERSION: u32 = 2;
 pub const HEADER_LEN: usize = 24;
 
 const FLAG_TRACK_VIOLATIONS: u8 = 1 << 0;
-const FLAG_THRESHOLD_RULE: u8 = 1 << 1;
+/// Marked a run under the retired ever-swapped threshold stop rule.
+const FLAG_RETIRED_THRESHOLD_RULE: u8 = 1 << 1;
 const FLAG_CONVERGED_RULE: u8 = 1 << 2;
 const FLAG_TRACK_DIAGNOSTICS: u8 = 1 << 3;
-const ALL_FLAGS: u8 =
-    FLAG_TRACK_VIOLATIONS | FLAG_THRESHOLD_RULE | FLAG_CONVERGED_RULE | FLAG_TRACK_DIAGNOSTICS;
+const ALL_FLAGS: u8 = FLAG_TRACK_VIOLATIONS | FLAG_CONVERGED_RULE | FLAG_TRACK_DIAGNOSTICS;
 const COUNTER_FIELDS: usize = 11;
 /// u64 fields per iteration record (see the layout above).
 const ITER_FIELDS: usize = 7;
 
-/// Serialize a snapshot to the `ckpt_v1` wire form.
+/// Serialize a snapshot to the `ckpt_v2` wire form.
 pub fn encode(snap: &Snapshot) -> Vec<u8> {
     let st = &snap.state;
     let m = st.edges.len();
@@ -85,7 +84,6 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     payload.extend_from_slice(&(st.num_vertices as u64).to_le_bytes());
     let (mut flags, rule_param) = match st.stop {
         StopRule::FixedSweeps => (0u8, 0u64),
-        StopRule::Threshold(t) => (FLAG_THRESHOLD_RULE, t.to_bits()),
         StopRule::Converged { min_ess, window } => (
             FLAG_CONVERGED_RULE,
             (u64::from(min_ess) << 32) | u64::from(window),
@@ -207,7 +205,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Parse and fully validate a `ckpt_v1` byte buffer. `path` is used only
+/// Parse and fully validate a `ckpt_v2` byte buffer. `path` is used only
 /// for diagnostics (pass `""` for in-memory buffers).
 pub fn decode(bytes: &[u8], path: &str) -> Result<Snapshot, GenError> {
     let fail = |offset: u64, reason: String| GenError::corrupt_checkpoint(path, offset, reason);
@@ -221,7 +219,7 @@ pub fn decode(bytes: &[u8], path: &str) -> Result<Snapshot, GenError> {
         ));
     }
     if bytes[..8] != MAGIC {
-        return Err(fail(0, "bad magic: not a ckpt_v1 checkpoint file".into()));
+        return Err(fail(0, "bad magic: not a ckpt_v2 checkpoint file".into()));
     }
     let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
     if version != VERSION {
@@ -271,20 +269,20 @@ pub fn decode(bytes: &[u8], path: &str) -> Result<Snapshot, GenError> {
     })?;
     let flags_at = cur.file_offset();
     let flags = cur.u8("flags")?;
+    if flags & FLAG_RETIRED_THRESHOLD_RULE != 0 {
+        return Err(fail(
+            flags_at,
+            "the run uses the retired ever-swapped threshold stop rule, which this build \
+             no longer resumes"
+                .into(),
+        ));
+    }
     if flags & !ALL_FLAGS != 0 {
         return Err(fail(flags_at, format!("unknown flag bits {flags:#04x}")));
     }
-    if flags & FLAG_THRESHOLD_RULE != 0 && flags & FLAG_CONVERGED_RULE != 0 {
-        return Err(fail(
-            flags_at,
-            "both the threshold and the converged stop-rule flags are set".into(),
-        ));
-    }
     let track_violations = flags & FLAG_TRACK_VIOLATIONS != 0;
     let track_diagnostics = flags & FLAG_TRACK_DIAGNOSTICS != 0;
-    let stop = if flags & FLAG_THRESHOLD_RULE != 0 {
-        StopRule::Threshold(cur.f64_unit("mixing threshold")?)
-    } else if flags & FLAG_CONVERGED_RULE != 0 {
+    let stop = if flags & FLAG_CONVERGED_RULE != 0 {
         // Parameter sanity (min_ess ≥ 1, window ≥ 2, …) is enforced by the
         // decoded state's validate() below.
         let param = cur.u64("converged rule parameters")?;

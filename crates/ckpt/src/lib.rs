@@ -5,7 +5,7 @@
 //! sweep count — which *is* the RNG stream position — seed, stop rule,
 //! and per-sweep statistics) plus the accumulated [`SwapCounters`] so
 //! observability survives a restart. Snapshots serialize to the
-//! versioned, CRC-checked `ckpt_v1` binary format ([`codec`]) and are
+//! versioned, CRC-checked `ckpt_v2` binary format ([`codec`]) and are
 //! persisted with [`write_atomic`]: bytes go to a temporary sibling
 //! file, the file is fsynced, renamed over the target, and the parent
 //! directory is fsynced. A crash at any instant therefore leaves either
@@ -88,7 +88,7 @@ impl SwapCounters {
         m.fault_events.add(self.fault_events);
     }
 
-    /// Wire order of the counter block in `ckpt_v1`.
+    /// Wire order of the counter block in `ckpt_v2`.
     pub(crate) fn as_array(&self) -> [u64; 11] {
         [
             self.sweeps,
@@ -140,7 +140,7 @@ impl Snapshot {
 }
 
 /// Why a checkpoint could not be loaded: the file could not be read at
-/// all, or it was read but its contents are not a valid `ckpt_v1`.
+/// all, or it was read but its contents are not a valid `ckpt_v2`.
 #[derive(Debug)]
 pub enum LoadError {
     Io(io::Error),
@@ -243,7 +243,7 @@ mod tests {
             completed_sweeps: 2,
             seed: 0xDEAD_BEEF,
             sweep_budget: 40,
-            stop: StopRule::Threshold(0.875),
+            stop: StopRule::FixedSweeps,
             track_violations: false,
             track_diagnostics: false,
             iterations: vec![
@@ -355,6 +355,24 @@ mod tests {
         } else {
             assert_eq!(back, SwapCounters::default());
         }
+    }
+
+    #[test]
+    fn retired_threshold_flag_is_refused_at_the_flags_offset() {
+        // Flags follow the header and five u64 payload fields. Bit 1 once
+        // marked the retired threshold stop rule; re-fix the CRC so the
+        // flag itself, not the checksum, is what the decoder refuses.
+        let mut bytes = codec::encode(&sample_snapshot());
+        let flags_at = codec::HEADER_LEN + 5 * 8;
+        bytes[flags_at] |= 1 << 1;
+        let crc = crc32(&bytes[codec::HEADER_LEN..]);
+        bytes[20..24].copy_from_slice(&crc.to_le_bytes());
+        let err = codec::decode(&bytes, "mem").expect_err("retired rule");
+        assert_eq!(err.error_code(), "corrupt_checkpoint");
+        assert_eq!(err.exit_code(), 9);
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("at byte {flags_at}:")), "{msg}");
+        assert!(msg.contains("retired"), "{msg}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for the `ckpt_v1` wire format (proptest-lite):
+//! Property tests for the `ckpt_v2` wire format (proptest-lite):
 //!
 //! 1. encode → decode is the identity on arbitrary valid snapshots;
 //! 2. **every** single-byte truncation of a valid checkpoint is rejected
@@ -41,9 +41,8 @@ fn arbitrary_snapshot(seed: u64) -> Snapshot {
             wedge_sketch: rng.below(1 << 40) as f64,
         })
         .collect();
-    let stop = match rng.below(3) {
+    let stop = match rng.below(2) {
         0 => StopRule::FixedSweeps,
-        1 => StopRule::Threshold(rng.below(1001) as f64 / 1000.0),
         _ => {
             let window = 2 + rng.below(510) as u32;
             StopRule::Converged {

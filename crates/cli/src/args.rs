@@ -1,5 +1,9 @@
 //! A minimal argument parser: `--key value` options, `--flag` booleans and
 //! bare positionals. Small enough to own; no external dependency needed.
+//!
+//! Each command declares the options it accepts in a [`Spec`]; any other
+//! `--key` is a usage error, so a misspelled or retired option can never
+//! be silently ignored.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -28,6 +32,8 @@ pub enum ArgError {
         /// Expected type description.
         expected: &'static str,
     },
+    /// `--key` is not an option of this command.
+    Unknown(String),
     /// Two options that cannot be combined (e.g. `--resume` with `--seed`:
     /// the checkpoint already fixes the seed).
     Conflict {
@@ -43,6 +49,7 @@ impl fmt::Display for ArgError {
         match self {
             Self::Duplicate(k) => write!(f, "option --{k} given more than once"),
             Self::Missing(k) => write!(f, "missing required option --{k}"),
+            Self::Unknown(k) => write!(f, "unknown option --{k} (see 'nullgraph help')"),
             Self::Invalid {
                 key,
                 value,
@@ -57,33 +64,31 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Known boolean flags (everything else starting with `--` takes a value).
-const FLAGS: &[&str] = &[
-    "track",
-    "quiet",
-    "verbose",
-    "strict",
-    "json",
-    "control",
-    "until-mixed",
-    "until-converged",
-    "chaos",
-];
+/// The options one command accepts.
+#[derive(Clone, Copy, Debug)]
+pub struct Spec {
+    /// `--key value` options.
+    pub options: &'static [&'static str],
+    /// Boolean `--flag`s.
+    pub flags: &'static [&'static str],
+}
 
 impl Parsed {
-    /// Parse raw arguments.
-    pub fn parse(argv: &[String]) -> Result<Self, ArgError> {
+    /// Parse raw arguments against the command's [`Spec`].
+    pub fn parse(argv: &[String], spec: &Spec) -> Result<Self, ArgError> {
         let mut out = Parsed::default();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(arg) = it.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                if FLAGS.contains(&key) {
+                if spec.flags.contains(&key) {
                     out.flags.insert(key.to_string());
-                } else {
+                } else if spec.options.contains(&key) {
                     let value = it.next().cloned().unwrap_or_default();
                     if out.options.insert(key.to_string(), value).is_some() {
                         return Err(ArgError::Duplicate(key.to_string()));
                     }
+                } else {
+                    return Err(ArgError::Unknown(key.to_string()));
                 }
             } else {
                 out.positionals.push(arg.clone());
@@ -143,8 +148,17 @@ impl Parsed {
 mod tests {
     use super::*;
 
+    const SPEC: Spec = Spec {
+        options: &["seed", "out", "mu"],
+        flags: &["track", "quiet"],
+    };
+
+    fn try_parse(s: &[&str]) -> Result<Parsed, ArgError> {
+        Parsed::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>(), &SPEC)
+    }
+
     fn parse(s: &[&str]) -> Parsed {
-        Parsed::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+        try_parse(s).unwrap()
     }
 
     #[test]
@@ -173,13 +187,29 @@ mod tests {
             Err(ArgError::Invalid { .. })
         ));
         assert_eq!(p.require("out"), Err(ArgError::Missing("out".to_string())));
-        let dup = Parsed::parse(
-            &["--seed", "1", "--seed", "2"]
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>(),
-        );
+        let dup = try_parse(&["--seed", "1", "--seed", "2"]);
         assert_eq!(dup.unwrap_err(), ArgError::Duplicate("seed".to_string()));
+    }
+
+    #[test]
+    fn unknown_options_and_flags_are_rejected() {
+        // Misspellings must not be swallowed as options nobody reads.
+        for (argv, key) in [
+            (&["--sed", "4"][..], "sed"),
+            (&["--seed", "4", "--iteration", "50"][..], "iteration"),
+            (&["--verbose"][..], "verbose"),
+            (&["--until-mixed", "--seed", "1"][..], "until-mixed"),
+        ] {
+            assert_eq!(
+                try_parse(argv).unwrap_err(),
+                ArgError::Unknown(key.to_string()),
+                "{argv:?}"
+            );
+        }
+        // A flag of the command never swallows the next token as a value.
+        let p = parse(&["--track", "--seed", "3"]);
+        assert!(p.flag("track"));
+        assert_eq!(p.get("seed"), Some("3"));
     }
 
     #[test]

@@ -2,10 +2,16 @@
 //! distribution (or against another graph's distribution).
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use graphcore::io;
 use graphcore::metrics::degree_ks_distance;
 use nullmodel::ValidationReport;
+
+/// The options `nullgraph compare` accepts.
+pub const SPEC: Spec = Spec {
+    options: &["input", "dist", "against", "tol"],
+    flags: &["strict"],
+};
 
 /// Run the command: `--input <graph>` plus either `--dist <file>` or
 /// `--against <other graph>`.
@@ -61,13 +67,16 @@ mod tests {
         let dpath = tmp("d.txt");
         io::save_edge_list(&g, &gpath).unwrap();
         io::write_distribution(&dist, std::fs::File::create(&dpath).unwrap()).unwrap();
-        let args = Parsed::parse(&[
-            "--input".into(),
-            gpath.to_str().unwrap().into(),
-            "--dist".into(),
-            dpath.to_str().unwrap().into(),
-            "--strict".into(),
-        ])
+        let args = Parsed::parse(
+            &[
+                "--input".into(),
+                gpath.to_str().unwrap().into(),
+                "--dist".into(),
+                dpath.to_str().unwrap().into(),
+                "--strict".into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         run(&args).unwrap();
     }
@@ -80,19 +89,22 @@ mod tests {
         let bpath = tmp("b.txt");
         io::save_edge_list(&a, &apath).unwrap();
         io::save_edge_list(&a, &bpath).unwrap();
-        let args = Parsed::parse(&[
-            "--input".into(),
-            apath.to_str().unwrap().into(),
-            "--against".into(),
-            bpath.to_str().unwrap().into(),
-        ])
+        let args = Parsed::parse(
+            &[
+                "--input".into(),
+                apath.to_str().unwrap().into(),
+                "--against".into(),
+                bpath.to_str().unwrap().into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         run(&args).unwrap();
     }
 
     #[test]
     fn requires_exactly_one_target() {
-        let args = Parsed::parse(&["--input".into(), "x".into()]).unwrap();
+        let args = Parsed::parse(&["--input".into(), "x".into()], &SPEC).unwrap();
         assert!(matches!(run(&args), Err(CliError::Domain(_))));
     }
 }

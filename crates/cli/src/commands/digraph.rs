@@ -2,10 +2,16 @@
 //! in/out degree distribution, or mix an existing directed edge list.
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use directed::{
     generate_directed_from_distribution, io as dio, reciprocity, swap_directed_edges,
     DirectedGeneratorConfig, DirectedSwapConfig,
+};
+
+/// The options `nullgraph directed` accepts.
+pub const SPEC: Spec = Spec {
+    options: &["dist", "input", "out", "seed", "swaps", "iterations"],
+    flags: &["quiet"],
 };
 
 /// Run the command. Mode is selected by the options present: `--dist`
@@ -80,23 +86,29 @@ mod tests {
         let dist = DiDegreeDistribution::from_pairs(vec![((1, 1), 60), ((3, 3), 10)]).unwrap();
         dio::write_joint_distribution(&dist, std::fs::File::create(&dpath).unwrap()).unwrap();
 
-        let gen_args = Parsed::parse(&[
-            "--dist".into(),
-            dpath.to_str().unwrap().into(),
-            "--out".into(),
-            gpath.to_str().unwrap().into(),
-            "--seed".into(),
-            "3".into(),
-        ])
+        let gen_args = Parsed::parse(
+            &[
+                "--dist".into(),
+                dpath.to_str().unwrap().into(),
+                "--out".into(),
+                gpath.to_str().unwrap().into(),
+                "--seed".into(),
+                "3".into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         run(&gen_args).unwrap();
 
-        let mix_args = Parsed::parse(&[
-            "--input".into(),
-            gpath.to_str().unwrap().into(),
-            "--out".into(),
-            mpath.to_str().unwrap().into(),
-        ])
+        let mix_args = Parsed::parse(
+            &[
+                "--input".into(),
+                gpath.to_str().unwrap().into(),
+                "--out".into(),
+                mpath.to_str().unwrap().into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         run(&mix_args).unwrap();
 
@@ -108,8 +120,11 @@ mod tests {
 
     #[test]
     fn both_modes_rejected() {
-        let args =
-            Parsed::parse(&["--dist".into(), "a".into(), "--input".into(), "b".into()]).unwrap();
+        let args = Parsed::parse(
+            &["--dist".into(), "a".into(), "--input".into(), "b".into()],
+            &SPEC,
+        )
+        .unwrap();
         assert!(matches!(run(&args), Err(CliError::Domain(_))));
     }
 }

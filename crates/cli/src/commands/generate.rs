@@ -2,9 +2,26 @@
 //! graph.
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use graphcore::io;
 use nullmodel::{try_generate_from_distribution, GeneratorConfig, ValidationReport};
+
+/// The options `nullgraph generate` accepts.
+pub const SPEC: Spec = Spec {
+    options: &[
+        "dist",
+        "out",
+        "seed",
+        "swaps",
+        "refine",
+        "refine-tol",
+        "shards",
+        "key-width",
+        "metrics",
+        "fault-log",
+    ],
+    flags: &["quiet"],
+};
 
 /// Run the command.
 pub fn run(args: &Parsed) -> Result<(), CliError> {
@@ -84,14 +101,17 @@ mod tests {
         let dpath = tmp("d.txt");
         let gpath = tmp("g.txt");
         io::write_distribution(&dist, std::fs::File::create(&dpath).unwrap()).unwrap();
-        let args = Parsed::parse(&[
-            "--dist".into(),
-            dpath.to_str().unwrap().into(),
-            "--out".into(),
-            gpath.to_str().unwrap().into(),
-            "--seed".into(),
-            "5".into(),
-        ])
+        let args = Parsed::parse(
+            &[
+                "--dist".into(),
+                dpath.to_str().unwrap().into(),
+                "--out".into(),
+                gpath.to_str().unwrap().into(),
+                "--seed".into(),
+                "5".into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         run(&args).unwrap();
         let g = io::load_edge_list(&gpath).unwrap();
@@ -101,12 +121,15 @@ mod tests {
 
     #[test]
     fn missing_file_is_io_error() {
-        let args = Parsed::parse(&[
-            "--dist".into(),
-            "/nonexistent/d.txt".into(),
-            "--out".into(),
-            "/tmp/x.txt".into(),
-        ])
+        let args = Parsed::parse(
+            &[
+                "--dist".into(),
+                "/nonexistent/d.txt".into(),
+                "--out".into(),
+                "/tmp/x.txt".into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         assert!(matches!(run(&args), Err(CliError::Io(_))));
     }

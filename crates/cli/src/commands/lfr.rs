@@ -1,10 +1,26 @@
 //! `nullgraph lfr` — LFR-like community benchmark generation (paper §VI).
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use graphcore::io;
 use nullmodel::{generate_lfr, LfrConfig};
 use std::io::Write;
+
+/// The options `nullgraph lfr` accepts.
+pub const SPEC: Spec = Spec {
+    options: &[
+        "dist",
+        "mu",
+        "min-comm",
+        "max-comm",
+        "exponent",
+        "swaps",
+        "seed",
+        "out",
+        "communities",
+    ],
+    flags: &["quiet"],
+};
 
 /// Run the command.
 pub fn run(args: &Parsed) -> Result<(), CliError> {
@@ -75,20 +91,23 @@ mod tests {
         let cpath = dir.join("c.txt");
         let dist = DegreeDistribution::from_pairs(vec![(4, 200), (8, 50)]).unwrap();
         io::write_distribution(&dist, std::fs::File::create(&dpath).unwrap()).unwrap();
-        let args = Parsed::parse(&[
-            "--dist".into(),
-            dpath.to_str().unwrap().into(),
-            "--out".into(),
-            gpath.to_str().unwrap().into(),
-            "--mu".into(),
-            "0.2".into(),
-            "--min-comm".into(),
-            "10".into(),
-            "--max-comm".into(),
-            "50".into(),
-            "--communities".into(),
-            cpath.to_str().unwrap().into(),
-        ])
+        let args = Parsed::parse(
+            &[
+                "--dist".into(),
+                dpath.to_str().unwrap().into(),
+                "--out".into(),
+                gpath.to_str().unwrap().into(),
+                "--mu".into(),
+                "0.2".into(),
+                "--min-comm".into(),
+                "10".into(),
+                "--max-comm".into(),
+                "50".into(),
+                "--communities".into(),
+                cpath.to_str().unwrap().into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         run(&args).unwrap();
         let g = io::load_edge_list(&gpath).unwrap();
@@ -99,18 +118,21 @@ mod tests {
 
     #[test]
     fn bad_mu_rejected() {
-        let args = Parsed::parse(&[
-            "--dist".into(),
-            "x".into(),
-            "--out".into(),
-            "y".into(),
-            "--mu".into(),
-            "1.5".into(),
-            "--min-comm".into(),
-            "10".into(),
-            "--max-comm".into(),
-            "50".into(),
-        ])
+        let args = Parsed::parse(
+            &[
+                "--dist".into(),
+                "x".into(),
+                "--out".into(),
+                "y".into(),
+                "--mu".into(),
+                "1.5".into(),
+                "--min-comm".into(),
+                "10".into(),
+                "--max-comm".into(),
+                "50".into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         assert!(matches!(run(&args), Err(CliError::Domain(_))));
     }

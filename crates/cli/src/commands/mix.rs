@@ -1,21 +1,18 @@
-//! `nullgraph mix` — problem 1: uniformly mix an existing edge list.
+//! `nullgraph mix` — problem 1: mix an existing edge list with double-edge
+//! swaps.
 //!
-//! Two execution paths share the printing and metrics plumbing:
-//!
-//! * the **legacy** path (no checkpoint flags, no `--until-mixed`) runs
-//!   the phase-timed `nullmodel` pipeline exactly as before;
-//! * the **resumable** path drives [`swap::try_mix_resumable`] /
-//!   [`swap::resume_from`] with an interrupt flag from
-//!   [`crate::signal`], a [`CheckpointPolicy`] cadence, and a sink that
-//!   persists `ckpt_v1` snapshots atomically. Any ending other than
-//!   completion leaves a checkpoint next to the partial result and
-//!   prints the exact `--resume` invocation that continues the run.
+//! Every run takes one path: [`swap::try_mix_resumable`] (or
+//! [`swap::resume_from`] under `--resume`) with an interrupt flag from
+//! [`crate::signal`], an optional [`CheckpointPolicy`] cadence, and a sink
+//! that persists `ckpt_v2` snapshots atomically. Checkpoint flags therefore
+//! never change the output of a seed. Any ending other than completion
+//! leaves a checkpoint next to the partial result and prints the exact
+//! `--resume` invocation that continues the run.
 
 use super::{shards_arg, CliError};
-use crate::args::{ArgError, Parsed};
+use crate::args::{ArgError, Parsed, Spec};
 use ckpt::{Snapshot, SwapCounters};
 use graphcore::{io, EdgeList};
-use nullmodel::GeneratorConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,42 +30,24 @@ const DEFAULT_MIN_ESS: u32 = 64;
 /// Default trailing autocorrelation window of `--until-converged`.
 const DEFAULT_ESS_WINDOW: u32 = 128;
 
-/// Parse and validate the stopping rule from `--until-mixed` /
-/// `--until-converged` and their parameter options. All parameter
-/// validation happens here, at parse time: a NaN, zero, negative or >1
-/// threshold (or nonsense ESS parameters) is a typed bad-input error
-/// (exit 4), never a rule that silently runs to the iteration cap.
+/// Parse and validate the stopping rule from `--until-converged` and its
+/// parameter options. Validation happens here, at parse time: nonsense ESS
+/// parameters are a typed bad-input error (exit 4), never a rule that
+/// silently runs to the iteration cap.
 fn parse_stop_rule(args: &Parsed) -> Result<StopRule, CliError> {
-    if args.flag("until-mixed") && args.flag("until-converged") {
-        return Err(ArgError::Conflict {
-            key: "until-converged".to_string(),
-            other: "until-mixed".to_string(),
-        }
+    if !args.flag("until-converged") {
+        return Ok(StopRule::FixedSweeps);
+    }
+    let min_ess: u32 = args.get_or("min-ess", DEFAULT_MIN_ESS)?;
+    let window: u32 = args.get_or("ess-window", DEFAULT_ESS_WINDOW)?;
+    if min_ess == 0 || window < 2 || min_ess > window {
+        return Err(GenError::bad_input(format!(
+            "--min-ess {min_ess} with --ess-window {window}: need min-ess >= 1, \
+             ess-window >= 2 and min-ess <= ess-window (ESS cannot exceed the window)"
+        ))
         .into());
     }
-    if args.flag("until-converged") {
-        let min_ess: u32 = args.get_or("min-ess", DEFAULT_MIN_ESS)?;
-        let window: u32 = args.get_or("ess-window", DEFAULT_ESS_WINDOW)?;
-        if min_ess == 0 || window < 2 || min_ess > window {
-            return Err(GenError::bad_input(format!(
-                "--min-ess {min_ess} with --ess-window {window}: need min-ess >= 1, \
-                 ess-window >= 2 and min-ess <= ess-window (ESS cannot exceed the window)"
-            ))
-            .into());
-        }
-        Ok(StopRule::Converged { min_ess, window })
-    } else if args.flag("until-mixed") {
-        let t: f64 = args.get_or("threshold", 0.99)?;
-        if !(t > 0.0 && t <= 1.0) {
-            return Err(GenError::bad_input(format!(
-                "--threshold {t}: the mixing threshold must be in (0, 1]"
-            ))
-            .into());
-        }
-        Ok(StopRule::Threshold(t))
-    } else {
-        Ok(StopRule::FixedSweeps)
-    }
+    Ok(StopRule::Converged { min_ess, window })
 }
 
 /// The `--metrics` document for `mix`: the obs snapshot plus the exact
@@ -112,49 +91,26 @@ fn metrics_json(metrics: &obs::Metrics, stats: &SwapStats, stop: StopRule) -> St
     json
 }
 
-/// Run the command.
-pub fn run(args: &Parsed) -> Result<(), CliError> {
-    let out_path = args.require("out")?.to_string();
-    let resumable = args.get("resume").is_some()
-        || args.get("checkpoint").is_some()
-        || args.get("checkpoint-every").is_some()
-        || args.flag("until-mixed")
-        || args.flag("until-converged");
-    if resumable {
-        return run_resumable(args, &out_path);
-    }
-
-    let in_path = args.require("input")?;
-    let iterations: usize = args.get_or("iterations", 10)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let metrics = super::metrics_registry(args)?;
-
-    let mut graph = io::load_edge_list(in_path)?;
-    let before = graph.degree_distribution();
-    let cfg = GeneratorConfig {
-        swap_iterations: iterations,
-        seed,
-        refine_rounds: 0,
-        refine_tolerance: None,
-        track_violations: args.flag("track"),
-        track_swap_diagnostics: false,
-        metrics: metrics.clone(),
-        swap_shards: shards_arg(args)?,
-        key_width: super::key_width_arg(args)?,
-    };
-    let (stats, timings) = nullmodel::try_generate_from_edge_list(&mut graph, &cfg)?;
-    debug_assert_eq!(graph.degree_distribution(), before);
-    io::save_edge_list(&graph, &out_path)?;
-    if let (Some(path), Some(m)) = (args.get("metrics"), &metrics) {
-        super::write_sink(
-            path,
-            metrics_json(m, &stats, StopRule::FixedSweeps).as_bytes(),
-        )?;
-    }
-    super::write_fault_log(args, &stats.events)?;
-    print_summary(args, &graph, &stats, &timings.to_string());
-    Ok(())
-}
+/// The options `nullgraph mix` accepts.
+pub const SPEC: Spec = Spec {
+    options: &[
+        "input",
+        "out",
+        "iterations",
+        "seed",
+        "min-ess",
+        "ess-window",
+        "budget-ms",
+        "shards",
+        "key-width",
+        "metrics",
+        "fault-log",
+        "checkpoint",
+        "checkpoint-every",
+        "resume",
+    ],
+    flags: &["until-converged", "track", "quiet"],
+};
 
 /// Parse `--checkpoint-every`: a bare integer is a sweep cadence, an
 /// integer with an `ms`/`s` suffix is a wall-clock cadence.
@@ -218,8 +174,9 @@ fn persist(
     Ok(bytes.len())
 }
 
-/// The checkpoint/resume-aware mixing path.
-fn run_resumable(args: &Parsed, out_path: &str) -> Result<(), CliError> {
+/// Run the command.
+pub fn run(args: &Parsed) -> Result<(), CliError> {
+    let out_path = args.require("out")?;
     let metrics = super::metrics_registry(args)?;
     let policy = match args.get("checkpoint-every") {
         Some(_) => Some(parse_cadence(args.require("checkpoint-every")?)?),
@@ -246,19 +203,10 @@ fn run_resumable(args: &Parsed, out_path: &str) -> Result<(), CliError> {
         Some(_) => {
             // The checkpoint already fixes these; accepting them here
             // would silently change the trajectory mid-run.
-            for fixed in ["input", "seed", "threshold", "min-ess", "ess-window"] {
-                if args.get(fixed).is_some() {
+            for fixed in ["input", "seed", "until-converged", "min-ess", "ess-window"] {
+                if args.get(fixed).is_some() || args.flag(fixed) {
                     return Err(ArgError::Conflict {
                         key: fixed.to_string(),
-                        other: "resume".to_string(),
-                    }
-                    .into());
-                }
-            }
-            for fixed_flag in ["until-mixed", "until-converged"] {
-                if args.flag(fixed_flag) {
-                    return Err(ArgError::Conflict {
-                        key: fixed_flag.to_string(),
                         other: "resume".to_string(),
                     }
                     .into());
@@ -323,12 +271,15 @@ fn run_resumable(args: &Parsed, out_path: &str) -> Result<(), CliError> {
     ws.set_key_width(super::key_width_arg(args)?);
     ws.set_metrics(metrics.clone());
     let recovery = RecoveryPolicy::default();
+    let mut t0 = Instant::now();
     let run_result: Result<(EdgeList, MixReport), GenError> = match &resumed {
         Some(snap) => swap::resume_from(&snap.state, &budget, &mut ctl, &mut ws, &recovery),
         None => {
             let in_path = args.require("input")?;
             let seed: u64 = args.get_or("seed", 0)?;
             let mut graph = io::load_edge_list(in_path)?;
+            // The summary reports the mix, not the input parse.
+            t0 = Instant::now();
             swap::try_mix_resumable(
                 &mut graph, stop, &budget, seed, &mut ctl, &mut ws, &recovery,
             )
@@ -336,6 +287,7 @@ fn run_resumable(args: &Parsed, out_path: &str) -> Result<(), CliError> {
         }
     };
     let (graph, report) = run_result.map_err(CliError::from)?;
+    let mix_s = t0.elapsed().as_secs_f64();
 
     // The partial (or final) graph and the metrics post-mortem are written
     // whatever the outcome; the checkpoint only when there is more to do.
@@ -358,7 +310,7 @@ fn run_resumable(args: &Parsed, out_path: &str) -> Result<(), CliError> {
             if policy.is_some() && ckpt_path.exists() {
                 std::fs::remove_file(&ckpt_path)?;
             }
-            print_summary(args, &graph, &report.stats, "resumable");
+            print_summary(args, &graph, &report.stats, mix_s);
             Ok(())
         }
         MixOutcome::Interrupted => {
@@ -381,16 +333,15 @@ fn run_resumable(args: &Parsed, out_path: &str) -> Result<(), CliError> {
     }
 }
 
-fn print_summary(args: &Parsed, graph: &EdgeList, stats: &SwapStats, timings: &str) {
+fn print_summary(args: &Parsed, graph: &EdgeList, stats: &SwapStats, mix_s: f64) {
     if args.flag("quiet") {
         return;
     }
     println!(
-        "mixed {} edges: {} accepted swaps over {} sweeps ({})",
+        "mixed {} edges: {} accepted swaps over {} sweeps (mix {mix_s:.3}s)",
         graph.len(),
         stats.total_successful(),
         stats.iterations.len(),
-        timings
     );
     for ev in &stats.events {
         println!("recovery: {ev}");
@@ -421,7 +372,11 @@ mod tests {
     use graphcore::DegreeDistribution;
 
     fn parse(argv: &[&str]) -> Parsed {
-        Parsed::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        Parsed::parse(
+            &argv.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            &SPEC,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -467,11 +422,6 @@ mod tests {
 
     #[test]
     fn stop_rule_validation() {
-        // Legal values, including the boundary threshold 1.0.
-        assert_eq!(
-            parse_stop_rule(&parse(&["--until-mixed", "--threshold", "1.0"])).unwrap(),
-            StopRule::Threshold(1.0)
-        );
         assert_eq!(
             parse_stop_rule(&parse(&["--until-converged"])).unwrap(),
             StopRule::Converged {
@@ -480,16 +430,7 @@ mod tests {
             }
         );
         assert_eq!(parse_stop_rule(&parse(&[])).unwrap(), StopRule::FixedSweeps);
-        // NaN, zero, negative and >1 thresholds are typed bad-input errors.
-        for bad in ["NaN", "0", "0.0", "-0.5", "1.0001", "inf"] {
-            let err = parse_stop_rule(&parse(&["--until-mixed", "--threshold", bad]))
-                .expect_err(&format!("threshold {bad} must be rejected"));
-            match err {
-                CliError::Gen(e) => assert_eq!(e.exit_code(), 4, "{bad}"),
-                other => panic!("threshold {bad} gave {other:?}"),
-            }
-        }
-        // Nonsense ESS parameters likewise.
+        // Nonsense ESS parameters are typed bad-input errors.
         for bad in [
             &["--min-ess", "0"][..],
             &["--ess-window", "1"][..],
@@ -503,11 +444,6 @@ mod tests {
                 other => panic!("{bad:?} gave {other:?}"),
             }
         }
-        // The two rules cannot be combined.
-        assert!(matches!(
-            parse_stop_rule(&parse(&["--until-mixed", "--until-converged"])),
-            Err(CliError::Args(ArgError::Conflict { .. }))
-        ));
     }
 
     #[test]
@@ -515,8 +451,6 @@ mod tests {
         for extra in [
             &["--seed", "3"][..],
             &["--input", "x.txt"][..],
-            &["--threshold", "0.5"][..],
-            &["--until-mixed"][..],
             &["--until-converged"][..],
             &["--min-ess", "32"][..],
             &["--ess-window", "64"][..],
@@ -535,54 +469,65 @@ mod tests {
     fn checkpoint_flags_round_trip_through_a_real_interruptionless_run() {
         // A fixed-sweeps run with a tight checkpoint cadence must finish,
         // delete its own checkpoint, and produce the same output as the
-        // same resumable run whose cadence never fires: persisting
-        // snapshots must not perturb the trajectory.
+        // same run whose cadence never fires and the same run without any
+        // checkpoint flag: persisting snapshots must not perturb the
+        // trajectory, and there is one seed rule.
         let dir = std::env::temp_dir().join("nullgraph_cli_mix_ckpt");
         std::fs::create_dir_all(&dir).unwrap();
         let inp = dir.join("in.txt");
-        let plain = dir.join("plain.txt");
-        let ckptd = dir.join("ckptd.txt");
-        let ckpt_file = dir.join("run.ckpt");
         let dist = DegreeDistribution::from_pairs(vec![(2, 30), (4, 10)]).unwrap();
         let g = generators::havel_hakimi(&dist).unwrap();
         io::save_edge_list(&g, &inp).unwrap();
-        run(&parse(&[
-            "--input",
-            inp.to_str().unwrap(),
-            "--out",
-            plain.to_str().unwrap(),
-            "--iterations",
-            "6",
-            "--seed",
-            "11",
-            "--checkpoint",
-            dir.join("never.ckpt").to_str().unwrap(),
-            "--checkpoint-every",
-            "1000000",
-            "--quiet",
-        ]))
-        .unwrap();
-        run(&parse(&[
-            "--input",
-            inp.to_str().unwrap(),
-            "--out",
-            ckptd.to_str().unwrap(),
-            "--iterations",
-            "6",
-            "--seed",
-            "11",
-            "--checkpoint",
-            ckpt_file.to_str().unwrap(),
-            "--checkpoint-every",
-            "2",
-            "--quiet",
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&plain).unwrap(),
-            std::fs::read_to_string(&ckptd).unwrap(),
-            "checkpoint cadence must not perturb the trajectory"
-        );
+        let ckpt_file = dir.join("run.ckpt");
+        let never = dir.join("never.ckpt");
+        let runs: [(&str, &[&str]); 3] = [
+            ("flagless.txt", &[]),
+            (
+                "never.txt",
+                &[
+                    "--checkpoint",
+                    never.to_str().unwrap(),
+                    "--checkpoint-every",
+                    "1000000",
+                ],
+            ),
+            (
+                "ckptd.txt",
+                &[
+                    "--checkpoint",
+                    ckpt_file.to_str().unwrap(),
+                    "--checkpoint-every",
+                    "2",
+                ],
+            ),
+        ];
+        let outputs: Vec<String> = runs
+            .iter()
+            .map(|(out, extra)| {
+                let out = dir.join(out);
+                let mut argv = vec![
+                    "--input",
+                    inp.to_str().unwrap(),
+                    "--out",
+                    out.to_str().unwrap(),
+                    "--iterations",
+                    "6",
+                    "--seed",
+                    "11",
+                    "--quiet",
+                ];
+                argv.extend_from_slice(extra);
+                run(&parse(&argv)).unwrap();
+                std::fs::read_to_string(&out).unwrap()
+            })
+            .collect();
+        assert_ne!(outputs[0], std::fs::read_to_string(&inp).unwrap());
+        for (i, (name, _)) in runs.iter().enumerate().skip(1) {
+            assert_eq!(
+                outputs[0], outputs[i],
+                "{name}: checkpoint flags must not perturb the trajectory"
+            );
+        }
         assert!(
             !ckpt_file.exists(),
             "completed run must remove its cadence checkpoint"

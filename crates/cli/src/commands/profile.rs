@@ -1,7 +1,7 @@
 //! `nullgraph profile` — emit a calibrated Table-I degree distribution.
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use datasets::Profile;
 use graphcore::io;
 
@@ -11,6 +11,12 @@ pub fn by_name(name: &str) -> Option<Profile> {
         .into_iter()
         .find(|p| p.name().eq_ignore_ascii_case(name))
 }
+
+/// The options `nullgraph profile` accepts.
+pub const SPEC: Spec = Spec {
+    options: &["name", "scale", "out"],
+    flags: &["quiet"],
+};
 
 /// Run the command.
 pub fn run(args: &Parsed) -> Result<(), CliError> {
@@ -63,14 +69,17 @@ mod tests {
         let dir = std::env::temp_dir().join("nullgraph_cli_profile");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("meso.txt");
-        let args = Parsed::parse(&[
-            "--name".into(),
-            "meso".into(),
-            "--scale".into(),
-            "4".into(),
-            "--out".into(),
-            path.to_str().unwrap().into(),
-        ])
+        let args = Parsed::parse(
+            &[
+                "--name".into(),
+                "meso".into(),
+                "--scale".into(),
+                "4".into(),
+                "--out".into(),
+                path.to_str().unwrap().into(),
+            ],
+            &SPEC,
+        )
         .unwrap();
         run(&args).unwrap();
         let dist = io::read_distribution(std::fs::File::open(&path).unwrap()).unwrap();
@@ -79,7 +88,7 @@ mod tests {
 
     #[test]
     fn unknown_profile_rejected() {
-        let args = Parsed::parse(&["--name".into(), "foo".into()]).unwrap();
+        let args = Parsed::parse(&["--name".into(), "foo".into()], &SPEC).unwrap();
         assert!(matches!(run(&args), Err(CliError::Domain(_))));
     }
 }

@@ -11,7 +11,7 @@
 //! the same `--state` directory.
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use serve::{ServeConfig, Server};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -20,6 +20,20 @@ use std::time::Duration;
 /// Poll cadence of the parked main thread. Latency from signal to the
 /// start of the drain, not a busy loop.
 const POLL: Duration = Duration::from_millis(50);
+
+/// The options `nullgraph serve` accepts.
+pub const SPEC: Spec = Spec {
+    options: &[
+        "state",
+        "addr",
+        "queue-cap",
+        "workers",
+        "http-threads",
+        "pool-cap",
+        "checkpoint-wall-ms",
+    ],
+    flags: &["chaos", "quiet"],
+};
 
 /// Run the command. Returns when the server has fully drained.
 pub fn run(args: &Parsed) -> Result<(), CliError> {
@@ -115,7 +129,11 @@ mod tests {
     use super::*;
 
     fn parse(argv: &[&str]) -> Parsed {
-        Parsed::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        Parsed::parse(
+            &argv.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            &SPEC,
+        )
+        .unwrap()
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! `nullgraph stats` — structural statistics of an edge list.
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use graphcore::analysis::{assortativity, global_clustering, largest_component_size};
 use graphcore::csr::Csr;
 use graphcore::io;
 use graphcore::metrics::gini;
+
+/// The options `nullgraph stats` accepts.
+pub const SPEC: Spec = Spec {
+    options: &["input"],
+    flags: &[],
+};
 
 /// Run the command.
 pub fn run(args: &Parsed) -> Result<(), CliError> {
@@ -60,13 +66,14 @@ mod tests {
         let path = dir.join("tri.txt");
         let g = EdgeList::from_pairs([(0, 1), (1, 2), (0, 2)]);
         io::save_edge_list(&g, &path).unwrap();
-        let args = Parsed::parse(&["--input".into(), path.to_str().unwrap().into()]).unwrap();
+        let args =
+            Parsed::parse(&["--input".into(), path.to_str().unwrap().into()], &SPEC).unwrap();
         run(&args).unwrap();
     }
 
     #[test]
     fn missing_input_fails() {
-        let args = Parsed::parse(&["--input".into(), "/no/such/file".into()]).unwrap();
+        let args = Parsed::parse(&["--input".into(), "/no/such/file".into()], &SPEC).unwrap();
         assert!(matches!(run(&args), Err(CliError::Io(_))));
     }
 }

@@ -13,7 +13,7 @@
 //! a self-test of the harness's statistical power.
 
 use super::CliError;
-use crate::args::Parsed;
+use crate::args::{Parsed, Spec};
 use stattest::{
     EdgeSkipExpectationHarness, ExpectationConfig, SamplerKind, SwapUniformityHarness,
     UniformityConfig,
@@ -23,6 +23,20 @@ use stattest::{
 /// pendants, the 6-cycle's sequence (support 70), and perfect matchings
 /// of `K_6` (support 15).
 const DEFAULT_SEQUENCES: &[&[u32]] = &[&[2, 2, 2, 1, 1], &[2; 6], &[1; 6]];
+
+/// The options `nullgraph verify` accepts.
+pub const SPEC: Spec = Spec {
+    options: &[
+        "sequence",
+        "trials",
+        "sweeps",
+        "replicates",
+        "alpha",
+        "seed",
+        "metrics",
+    ],
+    flags: &["json", "control", "quiet"],
+};
 
 /// Run the command.
 ///
@@ -138,7 +152,7 @@ mod tests {
     use super::*;
 
     fn parsed(s: &[&str]) -> Parsed {
-        Parsed::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+        Parsed::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>(), &SPEC).unwrap()
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod args;
 pub mod commands;
 pub mod signal;
 
-use args::Parsed;
+use args::{Parsed, Spec};
 
 /// Top-level dispatch. Returns the process exit code.
 pub fn run(argv: &[String]) -> i32 {
@@ -26,23 +26,17 @@ pub fn run(argv: &[String]) -> i32 {
         eprintln!("{}", usage());
         return 2;
     };
-    let parsed = match Parsed::parse(rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e} error_code=usage");
-            return 2;
-        }
-    };
-    let result = match command.as_str() {
-        "generate" => commands::generate::run(&parsed),
-        "mix" => commands::mix::run(&parsed),
-        "lfr" => commands::lfr::run(&parsed),
-        "profile" => commands::profile::run(&parsed),
-        "stats" => commands::stats::run(&parsed),
-        "directed" => commands::digraph::run(&parsed),
-        "serve" => commands::serve::run(&parsed),
-        "compare" => commands::compare::run(&parsed),
-        "verify" => commands::verify::run(&parsed),
+    type Command = fn(&Parsed) -> Result<(), commands::CliError>;
+    let (spec, command): (&Spec, Command) = match command.as_str() {
+        "generate" => (&commands::generate::SPEC, commands::generate::run),
+        "mix" => (&commands::mix::SPEC, commands::mix::run),
+        "lfr" => (&commands::lfr::SPEC, commands::lfr::run),
+        "profile" => (&commands::profile::SPEC, commands::profile::run),
+        "stats" => (&commands::stats::SPEC, commands::stats::run),
+        "directed" => (&commands::digraph::SPEC, commands::digraph::run),
+        "serve" => (&commands::serve::SPEC, commands::serve::run),
+        "compare" => (&commands::compare::SPEC, commands::compare::run),
+        "verify" => (&commands::verify::SPEC, commands::verify::run),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
             return 0;
@@ -52,7 +46,14 @@ pub fn run(argv: &[String]) -> i32 {
             return 2;
         }
     };
-    match result {
+    let parsed = match Parsed::parse(rest, spec) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: {e} error_code=usage");
+            return 2;
+        }
+    };
+    match command(&parsed) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e} error_code={}", e.error_code());
@@ -75,42 +76,41 @@ USAGE:
       MetricsSnapshot of pipeline counters and phase timings.
 
   nullgraph mix --input <file> --out <file> [--iterations N] [--seed N]
-            [--until-mixed] [--threshold F]
             [--until-converged] [--min-ess N] [--ess-window N]
             [--budget-ms N] [--shards N] [--key-width auto|32|64|wide]
             [--metrics <file>] [--checkpoint <file>] [--checkpoint-every <N|Nms|Ns>]
-      Uniformly mix an existing edge list ('u v' per line) with parallel
-      double-edge swaps; degrees are preserved exactly. With --until-mixed,
-      --iterations becomes a sweep budget: the run stops once the fraction
-      of edges ever swapped reaches --threshold (default 0.99, valid range
-      (0, 1]), and fails with error_code=mixing_budget_exceeded if the
-      budget (or the optional --budget-ms wall clock) runs out first. The
-      threshold is a coverage proxy, not a convergence test; prefer
-      --until-converged, which stops only when the effective sample size
-      of every informative convergence observable (degree-product sum,
-      wedge sketch, swap trajectory) over the trailing --ess-window sweeps
-      (default 128) reaches --min-ess (default 64). --budget-ms 0 is an
-      already-expired deadline, not 'no deadline'. --metrics writes the
-      counter snapshot, exact per-sweep observables, and a
-      mixing_diagnostics_v1 section as JSON. --shards sets
-      the swap tables' shard count — a performance knob only; output is
+            [--track]
+      Mix an existing edge list ('u v' per line) with parallel double-edge
+      swaps; degrees are preserved exactly. By default the run makes
+      exactly --iterations sweeps (default 10). With --until-converged,
+      --iterations becomes a sweep budget: the run stops only when the
+      effective sample size of every informative convergence observable
+      (degree-product sum, wedge sketch, swap trajectory) over the trailing
+      --ess-window sweeps (default 128) reaches --min-ess (default 64), and
+      fails with error_code=mixing_budget_exceeded (exit 7) if the budget
+      runs out first. --budget-ms adds a wall-clock budget to any run;
+      --budget-ms 0 is an already-expired deadline, not 'no deadline'.
+      --metrics writes the counter snapshot, exact per-sweep observables,
+      and a mixing_diagnostics_v1 section as JSON; --track prints the
+      per-sweep swap, self-loop and multi-edge counts. --shards sets the swap
+      tables' shard count — a performance knob only; output is
       byte-identical at any value. --key-width packs the swap tables'
       entries into 32- or 64-bit words (auto picks the narrowest that
       fits; forcing one that does not fit is error_code=bad_input).
-      --checkpoint writes crash-consistent ckpt_v1 snapshots to <file>
+      --checkpoint writes crash-consistent ckpt_v2 snapshots to <file>
       (default cadence: every 5s of wall clock; --checkpoint-every takes a
-      sweep count or an ms/s duration). Any run with checkpointing, or any
-      --until-mixed run, also writes a final checkpoint (default path
-      <out>.ckpt) when the budget expires or a SIGINT/SIGTERM arrives; the
-      signal case drains the sweep in flight and exits with code 10
+      sweep count or an ms/s duration). Checkpoint flags never change the
+      output. Any run that ends early — an expired budget, or a
+      SIGINT/SIGTERM — writes a final checkpoint (default path <out>.ckpt);
+      the signal case drains the sweep in flight and exits with code 10
       (error_code=interrupted). Stderr then names the exact --resume
       command that continues the run.
 
   nullgraph mix --resume <ckpt> --out <file> [--iterations N] [--budget-ms N]
             [--checkpoint <file>] [--checkpoint-every <N|Nms|Ns>] [--metrics <file>]
-      Continue a checkpointed run. Seed, stop rule, threshold and input are
-      fixed by the checkpoint (passing --input/--seed/--threshold is a
-      usage error); --iterations overrides the stored absolute sweep cap.
+      Continue a checkpointed run. Seed, stop rule and input are fixed by
+      the checkpoint (passing --input/--seed/--until-converged is a usage
+      error); --iterations overrides the stored absolute sweep cap.
       The continuation replays the exact trajectory of an uninterrupted
       run — byte-identical output, on any thread count. A corrupt or
       version-skewed checkpoint fails with error_code=corrupt_checkpoint
@@ -165,7 +165,8 @@ USAGE:
 
   Common flags: --metrics <file> writes a JSON counters snapshot (with an
   embedded \"fault_log\" section on generate/mix); --fault-log <file>
-  writes just the fault_log_v1 recovery-event log.
+  writes just the fault_log_v1 recovery-event log. An option a command
+  does not accept is a usage error (exit 2).
 
   Storage faults: durable writes (checkpoints, samples, metrics,
   fault logs, serve state) are atomic-or-absent. Out-of-space fails with
@@ -197,6 +198,20 @@ mod tests {
     #[test]
     fn help_succeeds() {
         assert_eq!(run(&argv(&["help"])), 0);
+    }
+
+    #[test]
+    fn every_command_rejects_unknown_options() {
+        // Parsing fails before any command runs, so nothing is touched.
+        for command in [
+            "generate", "mix", "lfr", "profile", "stats", "directed", "serve", "compare", "verify",
+        ] {
+            assert_eq!(
+                run(&argv(&[command, "--no-such-option", "1"])),
+                2,
+                "{command}"
+            );
+        }
     }
 
     #[test]

@@ -161,8 +161,9 @@ fn non_graphical_distribution_is_exit_5() {
 
 #[test]
 fn starved_mixing_budget_is_exit_7_and_writes_partial_result() {
-    // The 2-edge path can never complete a swap, so any positive threshold
-    // exhausts the sweep budget deterministically.
+    // The 2-edge path can never complete a swap, so its observables stay
+    // constant and the converged rule exhausts the sweep budget
+    // deterministically.
     let input = write("unswappable.txt", "0 1\n1 2\n");
     let out = tmp("unswappable_out.txt");
     std::fs::remove_file(&out).ok();
@@ -172,11 +173,9 @@ fn starved_mixing_budget_is_exit_7_and_writes_partial_result() {
         input.to_str().unwrap(),
         "--out",
         out.to_str().unwrap(),
-        "--until-mixed",
+        "--until-converged",
         "--iterations",
         "2",
-        "--threshold",
-        "0.5",
         "--seed",
         "1",
     ]);
@@ -202,7 +201,7 @@ fn budget_ms_zero_is_an_expired_deadline_exit_7() {
         input.to_str().unwrap(),
         "--out",
         out.to_str().unwrap(),
-        "--until-mixed",
+        "--until-converged",
         "--iterations",
         "50",
         "--budget-ms",
@@ -218,6 +217,33 @@ fn budget_ms_zero_is_an_expired_deadline_exit_7() {
 }
 
 #[test]
+fn plain_mix_honours_an_expired_budget_and_leaves_a_checkpoint() {
+    // A fixed-sweeps run without any checkpoint flag takes the same path
+    // as every other run: --budget-ms 0 stops it before the first sweep,
+    // and the final state lands next to the output for --resume.
+    let input = write("plain_budget.txt", "0 1\n2 3\n4 5\n6 7\n");
+    let out = tmp("plain_budget_out.txt");
+    let ckpt = tmp("plain_budget_out.txt.ckpt");
+    std::fs::remove_file(&ckpt).ok();
+    let r = nullgraph(&[
+        "mix",
+        "--input",
+        input.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--iterations",
+        "50",
+        "--budget-ms",
+        "0",
+    ]);
+    assert_eq!(r.status.code(), Some(7), "stderr: {}", stderr(&r));
+    let err = stderr(&r);
+    assert!(err.contains("error_code=mixing_budget_exceeded"), "{err}");
+    assert!(err.contains("0/50 sweeps"), "zero sweeps completed: {err}");
+    assert!(ckpt.exists(), "the expired run must leave <out>.ckpt");
+}
+
+#[test]
 fn absent_budget_ms_means_no_deadline() {
     // Without --budget-ms the same easily-mixed input succeeds: absence of
     // the flag (not a zero value) is what disables the wall clock.
@@ -229,11 +255,8 @@ fn absent_budget_ms_means_no_deadline() {
         input.to_str().unwrap(),
         "--out",
         out.to_str().unwrap(),
-        "--until-mixed",
         "--iterations",
         "200",
-        "--threshold",
-        "0.5",
         "--seed",
         "1",
     ]);
@@ -249,7 +272,6 @@ fn non_numeric_budget_ms_is_usage_exit_2() {
         input.to_str().unwrap(),
         "--out",
         tmp("bad_budget_out.txt").to_str().unwrap(),
-        "--until-mixed",
         "--budget-ms",
         "soon",
     ]);
@@ -327,11 +349,9 @@ fn mix_metrics_written_even_when_budget_expires() {
         input.to_str().unwrap(),
         "--out",
         out.to_str().unwrap(),
-        "--until-mixed",
+        "--until-converged",
         "--iterations",
         "2",
-        "--threshold",
-        "0.5",
         "--metrics",
         metrics.to_str().unwrap(),
     ]);
@@ -651,55 +671,6 @@ fn shards_zero_is_usage_exit_2_on_both_commands() {
 }
 
 #[test]
-fn out_of_range_threshold_is_bad_input_exit_4() {
-    // The threshold is a fraction of edges: only (0, 1] is meaningful.
-    // NaN, zero, negatives and anything above 1 must be the typed
-    // bad_input error before any sweep runs (a NaN threshold used to be
-    // accepted and made --until-mixed unsatisfiable).
-    let graph = write("thr_graph.txt", "0 1\n2 3\n4 5\n6 7\n");
-    for bad in ["NaN", "0", "0.0", "-0.5", "1.0001", "inf"] {
-        let r = nullgraph(&[
-            "mix",
-            "--input",
-            graph.to_str().unwrap(),
-            "--out",
-            tmp("thr_out.txt").to_str().unwrap(),
-            "--until-mixed",
-            "--threshold",
-            bad,
-        ]);
-        assert_eq!(
-            r.status.code(),
-            Some(4),
-            "--threshold {bad}: stderr: {}",
-            stderr(&r)
-        );
-        let err = stderr(&r);
-        assert!(
-            err.contains("error_code=bad_input"),
-            "--threshold {bad}: stderr: {err}"
-        );
-        assert!(err.contains("(0, 1]"), "--threshold {bad}: stderr: {err}");
-    }
-    // The boundary itself is valid: threshold 1.0 means "every edge".
-    let r = nullgraph(&[
-        "mix",
-        "--input",
-        graph.to_str().unwrap(),
-        "--out",
-        tmp("thr_ok_out.txt").to_str().unwrap(),
-        "--until-mixed",
-        "--iterations",
-        "200",
-        "--threshold",
-        "1.0",
-        "--seed",
-        "1",
-    ]);
-    assert_eq!(r.status.code(), Some(0), "stderr: {}", stderr(&r));
-}
-
-#[test]
 fn nonsense_ess_parameters_are_bad_input_exit_4() {
     let graph = write("ess_graph.txt", "0 1\n2 3\n4 5\n6 7\n");
     for (min_ess, window) in [("0", "64"), ("64", "1"), ("65", "64")] {
@@ -743,6 +714,39 @@ fn combined_stopping_rules_are_usage_exit_2() {
     ]);
     assert_eq!(r.status.code(), Some(2), "stderr: {}", stderr(&r));
     assert!(stderr(&r).contains("error_code=usage"), "{}", stderr(&r));
+}
+
+#[test]
+fn unknown_and_retired_options_are_usage_exit_2() {
+    // An option the command does not accept is never silently ignored: a
+    // misspelling would otherwise run with defaults, and a retired
+    // stopping rule would silently run fixed sweeps.
+    let graph = write("unknown_opts_graph.txt", "0 1\n2 3\n");
+    let out = tmp("unknown_opts_out.txt");
+    for extra in [
+        &["--iteration", "50", "--sed", "4"][..],
+        &["--until-mixed", "--threshold", "0.9"][..],
+        &["--threshold", "0.9"][..],
+    ] {
+        std::fs::remove_file(&out).ok();
+        let mut argv = vec![
+            "mix",
+            "--input",
+            graph.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        argv.extend_from_slice(extra);
+        let r = nullgraph(&argv);
+        assert_eq!(r.status.code(), Some(2), "{extra:?}: {}", stderr(&r));
+        let err = stderr(&r);
+        assert!(err.contains("error_code=usage"), "{extra:?}: {err}");
+        assert!(err.contains("unknown option --"), "{extra:?}: {err}");
+        assert!(!out.exists(), "{extra:?}: nothing may run");
+    }
+    // Every command checks, not just mix.
+    let r = nullgraph(&["stats", "--input", graph.to_str().unwrap(), "--quiet"]);
+    assert_eq!(r.status.code(), Some(2), "stderr: {}", stderr(&r));
 }
 
 #[test]

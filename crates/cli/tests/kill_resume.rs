@@ -140,12 +140,6 @@ fn sigkill_then_resume_matches_the_uninterrupted_run_byte_for_byte() {
         &total,
         "--seed",
         "13",
-        // Force the resumable code path (same trajectory family as the
-        // killed run) with a cadence that never fires.
-        "--checkpoint",
-        tmp("kill9_ref.ckpt").to_str().expect("utf8 path"),
-        "--checkpoint-every",
-        "100000000",
         "--quiet",
     ]);
     assert_eq!(r.status.code(), Some(0), "reference failed: {}", stderr(&r));
@@ -252,11 +246,9 @@ fn corrupt_checkpoint_is_exit_9_with_byte_offset_diagnostics() {
         input.to_str().expect("utf8 path"),
         "--out",
         out.to_str().expect("utf8 path"),
-        "--until-mixed",
+        "--until-converged",
         "--iterations",
         "1",
-        "--threshold",
-        "0.999",
         "--seed",
         "2",
         "--checkpoint",
@@ -284,8 +276,52 @@ fn corrupt_checkpoint_is_exit_9_with_byte_offset_diagnostics() {
 }
 
 #[test]
+fn retired_threshold_checkpoint_is_exit_9_at_the_flags_offset() {
+    // A checkpoint whose flags carry bit 1 — the retired threshold stop
+    // rule — is refused typed at the flags byte, with a valid CRC so the
+    // flag itself is what fails.
+    let input = write_ring("retired_in.txt", 40);
+    let out = tmp("retired_out.txt");
+    let ckpt_file = tmp("retired.ckpt");
+    std::fs::remove_file(&ckpt_file).ok();
+    let r = nullgraph(&[
+        "mix",
+        "--input",
+        input.to_str().expect("utf8 path"),
+        "--out",
+        out.to_str().expect("utf8 path"),
+        "--iterations",
+        "1",
+        "--budget-ms",
+        "0",
+        "--checkpoint",
+        ckpt_file.to_str().expect("utf8 path"),
+        "--quiet",
+    ]);
+    assert_eq!(r.status.code(), Some(7), "expired budget: {}", stderr(&r));
+    let mut bytes = std::fs::read(&ckpt_file).expect("checkpoint written");
+    let flags_at = ckpt::codec::HEADER_LEN + 5 * 8;
+    bytes[flags_at] |= 1 << 1;
+    let crc = ckpt::crc32(&bytes[ckpt::codec::HEADER_LEN..]);
+    bytes[20..24].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&ckpt_file, &bytes).expect("re-write with the retired flag");
+    let r = nullgraph(&[
+        "mix",
+        "--resume",
+        ckpt_file.to_str().expect("utf8 path"),
+        "--out",
+        out.to_str().expect("utf8 path"),
+    ]);
+    assert_eq!(r.status.code(), Some(9), "stderr: {}", stderr(&r));
+    let err = stderr(&r);
+    assert!(err.contains("error_code=corrupt_checkpoint"), "{err}");
+    assert!(err.contains(&format!("at byte {flags_at}:")), "{err}");
+}
+
+#[test]
 fn budget_exhaustion_prints_the_resume_command_and_the_resume_continues_counting() {
-    // The 2-edge path can never swap, so any threshold starves the budget.
+    // The 2-edge path can never swap, so the converged rule starves the
+    // budget.
     let input = tmp("exhaust_in.txt");
     std::fs::write(&input, "0 1\n1 2\n").expect("write input");
     let out = tmp("exhaust_out.txt");
@@ -297,11 +333,9 @@ fn budget_exhaustion_prints_the_resume_command_and_the_resume_continues_counting
         input.to_str().expect("utf8 path"),
         "--out",
         out.to_str().expect("utf8 path"),
-        "--until-mixed",
+        "--until-converged",
         "--iterations",
         "2",
-        "--threshold",
-        "0.5",
         "--seed",
         "1",
     ]);
@@ -314,7 +348,7 @@ fn budget_exhaustion_prints_the_resume_command_and_the_resume_continues_counting
     );
     assert!(
         default_ckpt.exists(),
-        "an --until-mixed run leaves a checkpoint next to the partial result"
+        "an exhausted run leaves a checkpoint next to the partial result"
     );
 
     // Resuming with a raised budget continues the *absolute* sweep count.

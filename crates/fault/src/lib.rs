@@ -37,7 +37,7 @@ use std::fmt;
 /// Every failure mode of the generation pipeline, one variant each.
 ///
 /// Public entry points (`nullmodel::try_generate_from_distribution`,
-/// `swap::try_swap_edges`, `swap::try_swap_until_mixed`, the CLI commands)
+/// `swap::try_swap_edges`, `swap::try_mix_resumable`, the CLI commands)
 /// return `Result<_, GenError>`; no input — undersized tables,
 /// non-graphical degrees, malformed files, exhausted budgets — reaches a
 /// `panic!` or `unwrap` through them.
@@ -71,7 +71,7 @@ pub enum GenError {
         sweeps_completed: usize,
         /// The sweep budget that was exhausted.
         max_sweeps: usize,
-        /// Mixing fraction reached (target is the caller's threshold).
+        /// Fraction of edges ever swapped when the budget ran out.
         ever_swapped_fraction: f64,
         /// Self loops still present (0 when the input was simple).
         self_loops: u64,

@@ -6,7 +6,7 @@
 //! baselines — the applications the paper's introduction lists). This
 //! module packages that workflow.
 
-use crate::{try_generate_from_edge_list_with_workspace, GenError, GeneratorConfig};
+use crate::{GenError, GeneratorConfig};
 use graphcore::{DegreeDistribution, EdgeList};
 use parutil::rng::mix64;
 use swap::{MixControl, MixingBudget, RecoveryPolicy, StopRule, SwapWorkspace};
@@ -60,53 +60,15 @@ pub fn try_ensemble_from_distribution(
         .collect()
 }
 
-/// Generate `count` independent uniform mixes of an observed edge list
-/// (the exact-degree-sequence null space, paper problem 1). All mixes share
-/// one swap workspace.
-///
-/// Panics on the failure modes [`try_ensemble_from_edge_list`] reports as
-/// typed errors.
-pub fn ensemble_from_edge_list(
-    observed: &EdgeList,
-    cfg: &GeneratorConfig,
-    count: usize,
-) -> Vec<EdgeList> {
-    match try_ensemble_from_edge_list(observed, cfg, count) {
-        Ok(graphs) => graphs,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`ensemble_from_edge_list`]: the first failing mix aborts the
-/// ensemble with its typed error.
-pub fn try_ensemble_from_edge_list(
-    observed: &EdgeList,
-    cfg: &GeneratorConfig,
-    count: usize,
-) -> Result<Vec<EdgeList>, GenError> {
-    let mut ws = SwapWorkspace::new();
-    (0..count)
-        .map(|k| {
-            let mut g = observed.clone();
-            let sub = GeneratorConfig {
-                seed: ensemble_member_seed(cfg.seed, k),
-                ..cfg.clone()
-            };
-            try_generate_from_edge_list_with_workspace(&mut g, &sub, &mut ws)?;
-            Ok(g)
-        })
-        .collect()
-}
-
 /// Generate `count` independent fixed-sweep mixes of an observed edge list:
 /// member `k` is the observed graph mixed for exactly `sweeps` sweeps under
 /// seed [`ensemble_member_seed`]`(seed, k)`.
 ///
-/// This is the *mix ensemble* — the serve crate's job contract. Unlike
-/// [`try_ensemble_from_edge_list`] it runs the bare resumable mixing kernel
-/// (no generator pipeline around it), so a member interrupted mid-mix,
-/// checkpointed, and resumed on another process is byte-identical to this
-/// uninterrupted reference (the property `crates/serve` restarts rely on).
+/// This is the *mix ensemble* — the serve crate's job contract. Member `k`
+/// is exactly [`crate::try_generate_from_edge_list`] under that seed, and a
+/// member interrupted mid-mix, checkpointed, and resumed on another process
+/// is byte-identical to this uninterrupted reference (the property
+/// `crates/serve` restarts rely on).
 pub fn try_mix_ensemble_from_edge_list(
     observed: &EdgeList,
     sweeps: usize,
@@ -208,8 +170,12 @@ impl SignificanceReport {
 }
 
 /// Score a graph statistic of an observed network against its
-/// exact-degree-sequence null model: generates `count` uniform mixes and
-/// applies `statistic` to each.
+/// exact-degree-sequence null model: generates the `count`-member mix
+/// ensemble of `cfg.swap_iterations` sweeps under `cfg.seed` and applies
+/// `statistic` to each member.
+///
+/// Panics if mixing fails (a table fault beyond the default recovery);
+/// [`try_mix_ensemble_from_edge_list`] reports it as a typed error.
 pub fn significance_against_null(
     observed: &EdgeList,
     statistic: impl Fn(&EdgeList) -> f64,
@@ -217,10 +183,19 @@ pub fn significance_against_null(
     count: usize,
 ) -> SignificanceReport {
     let obs_value = statistic(observed);
-    let nulls: Vec<f64> = ensemble_from_edge_list(observed, cfg, count)
-        .iter()
-        .map(&statistic)
-        .collect();
+    let mut ws = SwapWorkspace::new();
+    crate::configure_workspace(cfg, &mut ws);
+    let nulls: Vec<f64> = try_mix_ensemble_from_edge_list_with_workspace(
+        observed,
+        cfg.swap_iterations,
+        cfg.seed,
+        count,
+        &mut ws,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .iter()
+    .map(&statistic)
+    .collect();
     SignificanceReport::from_samples(obs_value, &nulls)
 }
 
@@ -243,18 +218,6 @@ mod tests {
         }
         assert_ne!(graphs[0], graphs[1]);
         assert_ne!(graphs[1], graphs[2]);
-    }
-
-    #[test]
-    fn edge_list_ensemble_preserves_degrees() {
-        let d = dist(&[(2, 40), (3, 20)]);
-        let observed = generators::havel_hakimi(&d).unwrap();
-        let nulls = ensemble_from_edge_list(&observed, &GeneratorConfig::new(9), 3);
-        for g in &nulls {
-            assert_eq!(g.degree_distribution(), d);
-            assert!(g.is_simple());
-        }
-        assert_ne!(nulls[0], nulls[1]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! * [`generate_from_distribution`] — problem 2: sample a uniformly-random
 //!   simple graph given only a degree distribution;
-//! * [`generate_from_edge_list`] — problem 1: uniformly mix an existing
-//!   edge list in place (degree sequence preserved exactly).
+//! * [`generate_from_edge_list`] — problem 1: mix an existing edge list in
+//!   place with double-edge swaps (degree sequence preserved exactly).
 //!
 //! [`uniform_reference`] reproduces the paper's baseline sampler
 //! (Havel-Hakimi + many swap iterations, after Milo et al.), and
@@ -41,10 +41,9 @@ pub mod phases;
 pub mod validate;
 
 pub use ensemble::{
-    ensemble_from_distribution, ensemble_from_edge_list, ensemble_member_seed,
-    significance_against_null, try_ensemble_from_distribution, try_ensemble_from_edge_list,
-    try_mix_ensemble_from_edge_list, try_mix_ensemble_from_edge_list_with_workspace,
-    SignificanceReport,
+    ensemble_from_distribution, ensemble_member_seed, significance_against_null,
+    try_ensemble_from_distribution, try_mix_ensemble_from_edge_list,
+    try_mix_ensemble_from_edge_list_with_workspace, SignificanceReport,
 };
 pub use fault::GenError;
 pub use hierarchical::{generate_layered, generate_lfr, Layer, LfrConfig, LfrGraph};
@@ -55,7 +54,9 @@ use genprob::SinkhornReport;
 use graphcore::{DegreeDistribution, EdgeList};
 use std::sync::Arc;
 use std::time::Instant;
-use swap::{RecoveryPolicy, SwapConfig, SwapStats, SwapWorkspace};
+use swap::{
+    MixControl, MixingBudget, RecoveryPolicy, StopRule, SwapConfig, SwapStats, SwapWorkspace,
+};
 
 pub use swap::KeyWidth;
 
@@ -77,13 +78,6 @@ pub struct GeneratorConfig {
     /// only; a handful of rounds sharpens the expected degree match — an
     /// extension the paper's Section IX leaves to future work).
     pub refine_rounds: usize,
-    /// Track per-iteration simplicity violations during swaps (costly).
-    pub track_violations: bool,
-    /// Record the convergence-diagnostic observables
-    /// (`deg_product_sum`/`wedge_sketch`, see `swap::diag`) in each
-    /// iteration's swap statistics. O(changes) per swap plus one O(n)
-    /// reduction per sweep; off by default.
-    pub track_swap_diagnostics: bool,
     /// When set, refinement must reach this residual tolerance: rounds run
     /// until the degree-system residual drops to the tolerance (up to
     /// `refine_rounds`, or a default cap when that is 0), and a stalled
@@ -116,8 +110,6 @@ impl GeneratorConfig {
             swap_iterations: 10,
             seed,
             refine_rounds: 0,
-            track_violations: false,
-            track_swap_diagnostics: false,
             refine_tolerance: None,
             metrics: None,
             swap_shards: None,
@@ -141,13 +133,6 @@ impl GeneratorConfig {
     /// [`GeneratorConfig::refine_tolerance`]).
     pub fn with_refine_tolerance(mut self, tolerance: f64) -> Self {
         self.refine_tolerance = Some(tolerance);
-        self
-    }
-
-    /// Record the swap phase's convergence-diagnostic observables (see
-    /// [`GeneratorConfig::track_swap_diagnostics`]).
-    pub fn with_swap_diagnostics(mut self) -> Self {
-        self.track_swap_diagnostics = true;
         self
     }
 
@@ -304,9 +289,9 @@ pub fn try_generate_from_distribution_with_workspace(
     timings.edge_generation = t1.elapsed();
 
     let t2 = Instant::now();
-    let mut swap_cfg = SwapConfig::new(cfg.swap_iterations, parutil::rng::mix64(cfg.seed ^ 0x5A9));
-    swap_cfg.track_violations = cfg.track_violations;
-    swap_cfg.track_diagnostics = cfg.track_swap_diagnostics;
+    // Edge skipping emits a simple graph, so there are no violations to
+    // track.
+    let swap_cfg = SwapConfig::new(cfg.swap_iterations, parutil::rng::mix64(cfg.seed ^ 0x5A9));
     let swap_stats =
         swap::try_swap_edges_with_workspace(&mut graph, &swap_cfg, ws, &RecoveryPolicy::default())?;
     timings.swapping = t2.elapsed();
@@ -320,9 +305,15 @@ pub fn try_generate_from_distribution_with_workspace(
     })
 }
 
-/// Uniformly mix an existing edge list in place (the paper's problem 1).
-/// The degree sequence is preserved exactly; a simple input stays simple,
-/// and a non-simple input is progressively simplified.
+/// Mix an existing edge list in place with `cfg.swap_iterations` sweeps of
+/// double-edge swaps (the paper's problem 1). The degree sequence is
+/// preserved exactly; a simple input stays simple, and a non-simple input
+/// is progressively simplified (its per-sweep violation counts are
+/// tracked).
+///
+/// This is the fixed-sweep run of [`swap::try_mix_resumable`] under
+/// `cfg.seed`, byte for byte: `nullgraph mix`, its checkpointed and
+/// resumed runs, serve jobs and this function share one trajectory.
 pub fn generate_from_edge_list(
     graph: &mut EdgeList,
     cfg: &GeneratorConfig,
@@ -361,13 +352,17 @@ pub fn try_generate_from_edge_list_with_workspace(
     let mut timings = PhaseTimings::default();
     configure_workspace(cfg, ws);
     let t = Instant::now();
-    let mut swap_cfg = SwapConfig::new(cfg.swap_iterations, parutil::rng::mix64(cfg.seed ^ 0x5A9));
-    swap_cfg.track_violations = cfg.track_violations;
-    swap_cfg.track_diagnostics = cfg.track_swap_diagnostics;
-    let stats =
-        swap::try_swap_edges_with_workspace(graph, &swap_cfg, ws, &RecoveryPolicy::default())?;
+    let report = swap::try_mix_resumable(
+        graph,
+        StopRule::FixedSweeps,
+        &MixingBudget::sweeps(cfg.swap_iterations),
+        cfg.seed,
+        &mut MixControl::none(),
+        ws,
+        &RecoveryPolicy::default(),
+    )?;
     timings.swapping = t.elapsed();
-    Ok((stats, timings))
+    Ok((report.stats, timings))
 }
 
 /// The paper's uniform-random reference sampler: a Havel-Hakimi realization
@@ -501,6 +496,31 @@ mod tests {
         assert!(g.is_simple());
         assert_eq!(g.degree_distribution(), before);
         assert!(stats.total_successful() > 0);
+    }
+
+    #[test]
+    fn edge_list_mixing_is_the_fixed_sweep_resumable_run() {
+        // One seed rule: this path and the resumable driver behind
+        // `nullgraph mix`, its checkpoints and serve jobs give the same
+        // bytes and the same per-sweep stats for the same seed.
+        let start = generators::havel_hakimi(&dist(&[(2, 100), (4, 30)])).unwrap();
+        let mut via_nullmodel = start.clone();
+        let cfg = GeneratorConfig::new(3).with_swap_iterations(7);
+        let (stats, _) = try_generate_from_edge_list(&mut via_nullmodel, &cfg).unwrap();
+        let mut via_swap = start.clone();
+        let report = swap::try_mix_resumable(
+            &mut via_swap,
+            StopRule::FixedSweeps,
+            &MixingBudget::sweeps(7),
+            3,
+            &mut MixControl::none(),
+            &mut SwapWorkspace::new(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        assert_ne!(via_nullmodel, start);
+        assert_eq!(via_nullmodel, via_swap);
+        assert_eq!(stats.iterations, report.stats.iterations);
     }
 
     #[test]

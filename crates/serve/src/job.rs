@@ -10,7 +10,7 @@
 //!   spec.json       written before the job is admitted (the 202 promise)
 //!   input.txt       the submitted edge list, same moment
 //!   sample_<k>.txt  completed member k (atomic tmp+rename)
-//!   sample_<k>.ckpt in-flight checkpoint of member k (ckpt_v1)
+//!   sample_<k>.ckpt in-flight checkpoint of member k (ckpt_v2)
 //!   status.json     terminal record (completed / failed / cancelled)
 //! ```
 //!
@@ -43,9 +43,9 @@ pub struct JobSpec {
     /// [`StopRule::FixedSweeps`], an upper bound otherwise).
     pub sweeps: usize,
     /// When each member stops within its sweep budget. Serialized as the
-    /// optional `until` / `threshold` / `min_ess` / `ess_window` spec
-    /// fields; their absence means [`StopRule::FixedSweeps`], so specs
-    /// persisted before the field existed parse unchanged.
+    /// optional `until` / `min_ess` / `ess_window` spec fields; their
+    /// absence means [`StopRule::FixedSweeps`], so specs persisted before
+    /// the field existed parse unchanged.
     pub stop: StopRule,
     /// Base seed; member `k` derives its own.
     pub seed: u64,
@@ -86,10 +86,6 @@ impl JobSpec {
         ];
         match self.stop {
             StopRule::FixedSweeps => {}
-            StopRule::Threshold(t) => {
-                doc.push(("until".to_string(), jstr("mixed")));
-                doc.push(("threshold".to_string(), num(t)));
-            }
             StopRule::Converged { min_ess, window } => {
                 doc.push(("until".to_string(), jstr("converged")));
                 doc.push(("min_ess".to_string(), num(min_ess)));
@@ -129,7 +125,6 @@ impl JobSpec {
             sweeps: field_u64("sweeps")? as usize,
             stop: stop_rule_from_fields(
                 v.get("until").and_then(Value::as_str),
-                v.get("threshold").and_then(Value::as_f64),
                 v.get("min_ess").and_then(Value::as_u64),
                 v.get("ess_window").and_then(Value::as_u64),
             )?,
@@ -150,37 +145,28 @@ impl JobSpec {
 }
 
 /// Build a [`StopRule`] from the optional stop-rule wire fields, applying
-/// the same validation as the CLI: `threshold` must lie in `(0, 1]`,
-/// `min_ess >= 1`, `ess_window >= 2` and `min_ess <= ess_window`. Shared
-/// by the spec parser and the submission endpoint so an invalid rule is
-/// rejected at admission time, never mid-run.
+/// the same validation as the CLI: `min_ess >= 1`, `ess_window >= 2` and
+/// `min_ess <= ess_window`. Shared by the spec parser and the submission
+/// endpoint so an invalid rule is rejected at admission time, never
+/// mid-run.
 pub fn stop_rule_from_fields(
     until: Option<&str>,
-    threshold: Option<f64>,
     min_ess: Option<u64>,
     ess_window: Option<u64>,
 ) -> Result<StopRule, String> {
     match until {
         None => {
-            if threshold.is_some() || min_ess.is_some() || ess_window.is_some() {
-                return Err("threshold/min_ess/ess_window require until=mixed|converged".into());
+            if min_ess.is_some() || ess_window.is_some() {
+                return Err("min_ess/ess_window require until=converged".into());
             }
             Ok(StopRule::FixedSweeps)
         }
-        Some("mixed") => {
-            if min_ess.is_some() || ess_window.is_some() {
-                return Err("min_ess/ess_window apply to until=converged only".into());
-            }
-            let t = threshold.unwrap_or(0.99);
-            if !(t > 0.0 && t <= 1.0) {
-                return Err(format!("threshold {t} outside the valid range (0, 1]"));
-            }
-            Ok(StopRule::Threshold(t))
-        }
+        Some("mixed") => Err(
+            "until=mixed (the ever-swapped threshold stop rule) was retired \
+             because it stops on a biased sample; use until=converged"
+                .into(),
+        ),
         Some("converged") => {
-            if threshold.is_some() {
-                return Err("threshold applies to until=mixed only".into());
-            }
             let min_ess = min_ess.unwrap_or(64);
             let window = ess_window.unwrap_or(128);
             if min_ess == 0 || window < 2 || min_ess > window || window > u64::from(u32::MAX) {
@@ -194,7 +180,7 @@ pub fn stop_rule_from_fields(
                 window: window as u32,
             })
         }
-        Some(other) => Err(format!("unknown until mode '{other}' (mixed|converged)")),
+        Some(other) => Err(format!("unknown until mode '{other}' (converged)")),
     }
 }
 
@@ -634,8 +620,6 @@ mod tests {
     fn spec_round_trips_every_stop_rule() {
         for stop in [
             StopRule::FixedSweeps,
-            StopRule::Threshold(0.875),
-            StopRule::Threshold(1.0),
             StopRule::Converged {
                 min_ess: 32,
                 window: 96,
@@ -658,42 +642,46 @@ mod tests {
     #[test]
     fn stop_rule_fields_are_validated() {
         let bad = [
-            // Out-of-range thresholds (the CLI's (0, 1] rule).
-            (Some("mixed"), Some(0.0), None, None),
-            (Some("mixed"), Some(-0.5), None, None),
-            (Some("mixed"), Some(1.0001), None, None),
-            (Some("mixed"), Some(f64::NAN), None, None),
-            (Some("mixed"), Some(f64::INFINITY), None, None),
             // Nonsense ESS parameters.
-            (Some("converged"), None, Some(0), None),
-            (Some("converged"), None, None, Some(1)),
-            (Some("converged"), None, Some(200), Some(100)),
-            // Parameters without (or with the wrong) mode.
-            (None, Some(0.5), None, None),
-            (None, None, Some(64), None),
-            (Some("mixed"), None, Some(64), None),
-            (Some("converged"), Some(0.5), None, None),
-            (Some("sideways"), None, None, None),
+            (Some("converged"), Some(0), None),
+            (Some("converged"), None, Some(1)),
+            (Some("converged"), Some(200), Some(100)),
+            // Parameters without a mode, and unknown or retired modes.
+            (None, Some(64), None),
+            (Some("mixed"), None, None),
+            (Some("sideways"), None, None),
         ];
-        for (until, threshold, min_ess, window) in bad {
+        for (until, min_ess, window) in bad {
             assert!(
-                stop_rule_from_fields(until, threshold, min_ess, window).is_err(),
-                "accepted until={until:?} threshold={threshold:?} \
-                 min_ess={min_ess:?} ess_window={window:?}"
+                stop_rule_from_fields(until, min_ess, window).is_err(),
+                "accepted until={until:?} min_ess={min_ess:?} ess_window={window:?}"
             );
         }
         // Omitted parameters take the CLI defaults.
         assert_eq!(
-            stop_rule_from_fields(Some("converged"), None, None, None).unwrap(),
+            stop_rule_from_fields(Some("converged"), None, None).unwrap(),
             StopRule::Converged {
                 min_ess: 64,
                 window: 128,
             }
         );
-        assert_eq!(
-            stop_rule_from_fields(Some("mixed"), None, None, None).unwrap(),
-            StopRule::Threshold(0.99)
-        );
+    }
+
+    #[test]
+    fn spec_with_the_retired_threshold_rule_fails_to_parse_naming_it() {
+        // What an older build persisted for `until=mixed&threshold=0.9`.
+        let doc = r#"{"schema":"job_spec_v1","id":"j6","samples":2,"sweeps":5,
+                      "seed":9,"max_grows":4,"serial_fallback":true,
+                      "until":"mixed","threshold":0.9}"#;
+        let err = JobSpec::from_json(doc).expect_err("retired rule");
+        assert!(err.contains("retired"), "{err}");
+        // The recovery scan reports it like any other unparsable spec.
+        let dir = tmp("retired_threshold_spec");
+        std::fs::write(dir.join("spec.json"), doc).unwrap();
+        let Err(err) = scan_job_dir(&dir) else {
+            panic!("a spec under the retired rule is not a valid job");
+        };
+        assert!(err.contains("retired"), "{err}");
     }
 
     #[test]

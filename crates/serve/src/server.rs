@@ -1014,6 +1014,21 @@ fn lookup(inner: &Arc<Inner>, id: &str) -> Option<Arc<Job>> {
     inner.lock(&inner.jobs).get(id).cloned()
 }
 
+/// The query parameters `POST /jobs` accepts.
+const SUBMIT_PARAMS: &[&str] = &[
+    "samples",
+    "sweeps",
+    "seed",
+    "max_grows",
+    "budget_ms",
+    "ckpt_sweeps",
+    "until",
+    "min_ess",
+    "ess_window",
+    "serial_fallback",
+    "panic_member",
+];
+
 fn submit(inner: &Arc<Inner>, req: &Request) -> Reply {
     if inner.draining.load(Ordering::Acquire) {
         inner.metrics.jobs_shed.incr();
@@ -1033,6 +1048,16 @@ fn submit(inner: &Arc<Inner>, req: &Request) -> Reply {
         }
     }
 
+    // A parameter this endpoint does not read (a typo, or a retired one
+    // such as `threshold`) must not be silently ignored.
+    if let Some((key, _)) = req
+        .query
+        .iter()
+        .find(|(k, _)| !SUBMIT_PARAMS.contains(&k.as_str()))
+    {
+        let msg = format!("unknown query parameter '{key}'");
+        return Reply::error(400, "bad_input", &msg);
+    }
     let parse_u64 = |key: &str, default: u64| -> Result<u64, String> {
         match req.query_param(key) {
             None => Ok(default),
@@ -1075,20 +1100,9 @@ fn submit(inner: &Arc<Inner>, req: &Request) -> Reply {
             return Reply::error(400, "bad_input", &m)
         }
     };
-    let threshold = match req.query_param("threshold") {
-        None => None,
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(v) => Some(v),
-            Err(_) => {
-                let msg = format!("invalid threshold: {raw:?}");
-                return Reply::error(400, "bad_input", &msg);
-            }
-        },
-    };
     // The stop rule is validated here, at admission: a spec that reaches a
-    // worker is never the thing that discovers threshold=NaN.
-    let stop = match stop_rule_from_fields(req.query_param("until"), threshold, min_ess, ess_window)
-    {
+    // worker is never the thing that discovers min_ess=0.
+    let stop = match stop_rule_from_fields(req.query_param("until"), min_ess, ess_window) {
         Ok(s) => s,
         Err(msg) => return Reply::error(400, "bad_input", &msg),
     };

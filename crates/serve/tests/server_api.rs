@@ -158,6 +158,28 @@ fn bad_submissions_are_typed_400s() {
 }
 
 #[test]
+fn unknown_and_retired_submit_parameters_are_typed_400s() {
+    let server = Server::start(test_config(tmp_state("unknown_params"))).unwrap();
+    let addr = server.local_addr();
+    for (query, names) in [
+        ("samples=2&sed=4", "'sed'"),
+        ("samples=2&until=mixed&threshold=0.9", "'threshold'"),
+        ("samples=2&until=mixed", "retired"),
+    ] {
+        let (status, body) = submit(addr, query, &ring(8));
+        assert_eq!(status, 400, "{query}: {body}");
+        assert_eq!(
+            body_field(&body, "error_code").as_deref(),
+            Some("bad_input"),
+            "{query}: {body}"
+        );
+        assert!(body.contains(names), "{query}: {body}");
+    }
+    server.request_drain();
+    server.join();
+}
+
+#[test]
 fn overload_sheds_typed_errors_while_accepted_jobs_complete() {
     let mut config = test_config(tmp_state("overload"));
     config.queue_capacity = 2;

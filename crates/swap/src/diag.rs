@@ -1,12 +1,13 @@
 //! Online convergence diagnostics for mixing runs.
 //!
-//! The `--until-mixed` threshold rule stops when the *ever-swapped
-//! fraction* crosses a cutoff — a coverage proxy, not a convergence
-//! criterion: a chain in which nearly every edge has been rewired once can
-//! still be far from uniform over the realization space. Following the
-//! sampling-convergence discussion in Dutta–Fosdick–Clauset, this module
-//! assesses mixing the way MCMC practice does: via the autocorrelation of
-//! cheap scalar network observables along the chain.
+//! The paper's empirical mixing criterion, the *ever-swapped fraction*
+//! crossing a cutoff, is a coverage proxy, not a convergence criterion: a
+//! chain in which nearly every edge has been rewired once can still be far
+//! from uniform over the realization space, so the fraction is only
+//! reported ([`crate::SwapStats::iterations_to_mix`]), never a stop rule.
+//! Following the sampling-convergence discussion in Dutta–Fosdick–Clauset,
+//! this module assesses mixing the way MCMC practice does: via the
+//! autocorrelation of cheap scalar network observables along the chain.
 //!
 //! # Observables
 //!
@@ -291,8 +292,8 @@ pub struct MixingDiagnostics {
 
 impl MixingDiagnostics {
     /// Compute the diagnostics over a per-sweep stats series. Usable under
-    /// any stop rule (the CLI reports diagnostics for threshold and
-    /// fixed-sweep runs too, with the given window/floor).
+    /// any stop rule (the CLI reports diagnostics for fixed-sweep runs
+    /// too, with the given window/floor).
     pub fn from_iterations(iterations: &[IterationStats], min_ess: u32, window: u32) -> Self {
         let w = (window.max(2)) as usize;
         let filled = iterations.len() >= w;

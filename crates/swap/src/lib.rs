@@ -79,7 +79,6 @@
 //! assert!(stats.total_successful() > 0);
 //! ```
 
-pub mod connected;
 pub mod diag;
 mod encoding;
 mod pool;
@@ -87,10 +86,6 @@ pub mod resume;
 pub mod stats;
 mod workspace;
 
-pub use connected::{
-    swap_edges_connected, swap_edges_connected_with_workspace, ConnectedSwapConfig,
-    ConnectedSwapError,
-};
 pub use diag::{geyer_ess, MixingDiagnostics, SeriesDiagnostic};
 pub use encoding::{SwapEdge, SwapGraph};
 pub use fault::{FaultEvent, FaultLog, GenError};
@@ -222,7 +217,7 @@ impl RecoveryPolicy {
     }
 }
 
-/// Watchdog budget for a mixing run ([`try_swap_until_mixed`]): the sweep
+/// Watchdog budget for a mixing run ([`try_mix_resumable`]): the sweep
 /// cap, plus an optional wall-clock deadline checked between sweeps.
 #[derive(Clone, Copy, Debug)]
 pub struct MixingBudget {
@@ -328,124 +323,6 @@ pub fn try_swap_edges_serial_with_workspace<G: SwapGraph>(
     run_recovering(graph, cfg, false, &|_| false, None, ws, policy, None)
 }
 
-/// Swap until the paper's empirical mixing criterion is met: the fraction
-/// of edges that have been produced by a successful swap reaches
-/// `threshold` (e.g. 0.999), up to `max_iterations` sweeps. When the input
-/// is non-simple, sweeps additionally continue until every violation is
-/// eliminated (tracking is enabled automatically in that case).
-///
-/// Returns the collected statistics; [`SwapStats::iterations_to_mix`] tells
-/// whether (and when) the threshold was reached. For a typed error when the
-/// budget runs out (plus a wall-clock watchdog), use
-/// [`try_swap_until_mixed`].
-pub fn swap_until_mixed(
-    graph: &mut EdgeList,
-    threshold: f64,
-    max_iterations: usize,
-    seed: u64,
-) -> SwapStats {
-    swap_until_mixed_with_workspace(
-        graph,
-        threshold,
-        max_iterations,
-        seed,
-        &mut SwapWorkspace::new(),
-    )
-}
-
-/// As [`swap_until_mixed`], reusing caller-owned buffers.
-pub fn swap_until_mixed_with_workspace(
-    graph: &mut EdgeList,
-    threshold: f64,
-    max_iterations: usize,
-    seed: u64,
-    ws: &mut SwapWorkspace,
-) -> SwapStats {
-    match mixing_run(
-        graph,
-        threshold,
-        &MixingBudget::sweeps(max_iterations),
-        seed,
-        ws,
-        &RecoveryPolicy::default(),
-    ) {
-        Ok((stats, _mixed)) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Watchdog-guarded [`swap_until_mixed`]: mix up to `budget.max_sweeps`
-/// sweeps (and, when set, `budget.max_wall` wall-clock time).
-///
-/// When the budget runs out before the criterion is met the graph keeps the
-/// partial result — every completed sweep is applied, a valid (if
-/// under-mixed) degree-preserving state — and the run fails with
-/// [`GenError::MixingBudgetExceeded`] reporting exactly how far it got.
-pub fn try_swap_until_mixed(
-    graph: &mut EdgeList,
-    threshold: f64,
-    budget: &MixingBudget,
-    seed: u64,
-) -> Result<SwapStats, GenError> {
-    try_swap_until_mixed_with_workspace(
-        graph,
-        threshold,
-        budget,
-        seed,
-        &mut SwapWorkspace::new(),
-        &RecoveryPolicy::default(),
-    )
-}
-
-/// As [`try_swap_until_mixed`], reusing caller-owned buffers under an
-/// explicit recovery policy.
-pub fn try_swap_until_mixed_with_workspace(
-    graph: &mut EdgeList,
-    threshold: f64,
-    budget: &MixingBudget,
-    seed: u64,
-    ws: &mut SwapWorkspace,
-    policy: &RecoveryPolicy,
-) -> Result<SwapStats, GenError> {
-    let (stats, mixed) = mixing_run(graph, threshold, budget, seed, ws, policy)?;
-    if mixed {
-        return Ok(stats);
-    }
-    let last = stats.iterations.last().copied().unwrap_or_default();
-    Err(GenError::MixingBudgetExceeded {
-        sweeps_completed: stats.iterations.len(),
-        max_sweeps: budget.max_sweeps,
-        ever_swapped_fraction: last.ever_swapped_fraction,
-        self_loops: last.self_loops,
-        multi_edges: last.multi_edges,
-        wall_clock_exceeded: stats.wall_clock_exceeded,
-    })
-}
-
-/// Shared mixing-run core: runs under the budget and reports whether the
-/// stop criterion was met alongside the stats.
-fn mixing_run(
-    graph: &mut EdgeList,
-    threshold: f64,
-    budget: &MixingBudget,
-    seed: u64,
-    ws: &mut SwapWorkspace,
-    policy: &RecoveryPolicy,
-) -> Result<(SwapStats, bool), GenError> {
-    let report = mixing_core(
-        graph,
-        StopRule::Threshold(threshold),
-        budget,
-        seed,
-        None,
-        &mut MixControl::none(),
-        ws,
-        policy,
-    )?;
-    let mixed = report.outcome == MixOutcome::Completed;
-    Ok((report.stats, mixed))
-}
-
 /// Interruptible, checkpointable mixing run.
 ///
 /// Behaves exactly like the non-resumable entry points — byte-identical
@@ -455,7 +332,10 @@ fn mixing_run(
 /// checkpoint sink per the [`CheckpointPolicy`]. The report says how the
 /// run ended and, unless it [`MixOutcome::Completed`], carries the state to
 /// continue from (feed it to [`resume_from`], directly or through a
-/// `ckpt_v1` round trip).
+/// `ckpt_v2` round trip). When the budget runs out first, the graph keeps
+/// every completed sweep (a valid, if under-mixed, degree-preserving
+/// state) and [`MixReport::budget_error`] gives the typed
+/// [`GenError::MixingBudgetExceeded`] reporting exactly how far it got.
 ///
 /// `budget.max_sweeps` is the *absolute* sweep cap of the logical run: a
 /// resumed continuation counts its predecessor's sweeps against the same
@@ -504,8 +384,8 @@ pub fn resume_from(
     Ok((graph, report))
 }
 
-/// The one mixing-run engine behind both the classic and the resumable
-/// entry points: builds the stop criterion, threads the segment controls
+/// The one mixing-run engine behind [`try_mix_resumable`] and
+/// [`resume_from`]: builds the stop criterion, threads the segment controls
 /// into [`run_until`] via [`run_recovering`], and classifies the ending.
 #[allow(clippy::too_many_arguments)]
 fn mixing_core(
@@ -535,10 +415,6 @@ fn mixing_core(
         None => matches!(stop, StopRule::Converged { .. }),
     };
     let criterion = move |iterations: &[IterationStats]| match stop {
-        StopRule::Threshold(t) => iterations.last().is_some_and(|it| {
-            it.ever_swapped_fraction >= t
-                && (!needs_simplify || (it.self_loops == 0 && it.multi_edges == 0))
-        }),
         StopRule::Converged { min_ess, window } => {
             diag::converged(iterations, min_ess, window, needs_simplify)
         }
@@ -580,7 +456,7 @@ fn mixing_core(
     // A graph too small to swap (m < 2) has nothing to mix; treat it as
     // trivially complete rather than forever over budget.
     let completed_rule = match stop {
-        StopRule::Threshold(_) | StopRule::Converged { .. } => criterion(&stats.iterations),
+        StopRule::Converged { .. } => criterion(&stats.iterations),
         StopRule::FixedSweeps => {
             stats.iterations.len() as u64 >= budget.max_sweeps as u64
                 && !stats.wall_clock_exceeded
@@ -1440,13 +1316,43 @@ mod tests {
         assert_eq!(g, ring(300), "aborted run must not write back");
     }
 
+    /// [`try_mix_resumable`] without run-time controls; a run that ends
+    /// short of its stop rule surfaces as [`MixReport::budget_error`].
+    fn mix(
+        graph: &mut EdgeList,
+        stop: StopRule,
+        budget: &MixingBudget,
+        seed: u64,
+    ) -> Result<SwapStats, GenError> {
+        let report = try_mix_resumable(
+            graph,
+            stop,
+            budget,
+            seed,
+            &mut MixControl::none(),
+            &mut SwapWorkspace::new(),
+            &RecoveryPolicy::default(),
+        )?;
+        match report.outcome {
+            MixOutcome::Completed => Ok(report.stats),
+            _ => Err(report.budget_error(budget)),
+        }
+    }
+
+    /// A converged rule small enough for unit-test fixtures.
+    const QUICK: StopRule = StopRule::Converged {
+        min_ess: 8,
+        window: 16,
+    };
+
     #[test]
     fn watchdog_reports_accurate_sweep_counts() {
         // The 2-edge path can never swap (one pairing recreates the same
-        // edges, the other makes a self loop), so any threshold > 0 runs
-        // the full budget — deterministically.
+        // edges, the other makes a self loop), so its observable series
+        // stay constant and the converged rule runs the full budget —
+        // deterministically.
         let mut g = EdgeList::from_pairs([(0, 1), (1, 2)]);
-        let err = try_swap_until_mixed(&mut g, 0.5, &MixingBudget::sweeps(3), 9)
+        let err = mix(&mut g, QUICK, &MixingBudget::sweeps(3), 9)
             .expect_err("an unswappable graph cannot mix");
         match err {
             GenError::MixingBudgetExceeded {
@@ -1472,7 +1378,7 @@ mod tests {
             max_sweeps: 1000,
             max_wall: Some(std::time::Duration::ZERO),
         };
-        let err = try_swap_until_mixed(&mut g, 0.999, &budget, 3)
+        let err = mix(&mut g, StopRule::FixedSweeps, &budget, 3)
             .expect_err("an already-expired deadline must fail");
         match err {
             GenError::MixingBudgetExceeded {
@@ -1491,29 +1397,29 @@ mod tests {
     #[test]
     fn trivial_graphs_are_trivially_mixed() {
         let mut g = EdgeList::from_pairs([(0, 1)]);
-        let stats = try_swap_until_mixed(&mut g, 0.999, &MixingBudget::sweeps(5), 1)
-            .expect("m < 2 has nothing to mix");
+        let stats =
+            mix(&mut g, QUICK, &MixingBudget::sweeps(5), 1).expect("m < 2 has nothing to mix");
         assert_eq!(stats.total_successful(), 0);
     }
 
     #[test]
-    fn swap_until_mixed_stops_early() {
+    fn converged_rule_stops_before_the_cap() {
         let mut g = ring(400);
-        let stats = swap_until_mixed(&mut g, 0.95, 50, 3);
+        let stats = mix(&mut g, QUICK, &MixingBudget::sweeps(200), 3).expect("converges");
         let used = stats.iterations.len();
-        assert!(used < 50, "should stop well before the cap, used {used}");
-        assert!(stats.iterations.last().unwrap().ever_swapped_fraction >= 0.95);
+        assert!(
+            (16..200).contains(&used),
+            "should stop well before the cap, used {used}"
+        );
         assert!(g.is_simple());
     }
 
     #[test]
-    fn swap_until_mixed_simplifies_first() {
+    fn converged_rule_simplifies_first() {
         let dist = DegreeDistribution::from_pairs(vec![(1, 80), (2, 30), (20, 4)]).unwrap();
         let mut g = generators::chung_lu_om(&dist, 5);
-        if g.is_simple() {
-            return; // unlucky fixture; other tests cover the simple path
-        }
-        let stats = swap_until_mixed(&mut g, 0.9, 60, 9);
+        assert!(!g.is_simple(), "fixture should start non-simple");
+        let stats = mix(&mut g, QUICK, &MixingBudget::sweeps(200), 9).expect("converges");
         let last = stats.iterations.last().unwrap();
         assert_eq!(last.self_loops + last.multi_edges, 0);
         assert!(g.is_simple());
@@ -1606,10 +1512,8 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_checkpoint_resumes_to_same_result() {
-        let threshold = 0.999;
         let mut want = ring(200);
-        let want_stats =
-            try_swap_until_mixed(&mut want, threshold, &MixingBudget::sweeps(200), 5).expect("ref");
+        let want_stats = mix(&mut want, QUICK, &MixingBudget::sweeps(200), 5).expect("ref");
         let needed = want_stats.iterations.len();
         assert!(needed > 1, "fixture must take several sweeps to mix");
 
@@ -1617,7 +1521,7 @@ mod tests {
         let mut got = ring(200);
         let report = try_mix_resumable(
             &mut got,
-            StopRule::Threshold(threshold),
+            QUICK,
             &MixingBudget::sweeps(1),
             5,
             &mut MixControl::none(),

@@ -24,7 +24,7 @@
 //!   checkpoint.
 //!
 //! [`MixState`] is the in-memory form of that state; `crates/ckpt` owns its
-//! durable `ckpt_v1` encoding. [`MixControl`] carries the run-time knobs —
+//! durable `ckpt_v2` encoding. [`MixControl`] carries the run-time knobs —
 //! an interrupt flag drained between sweeps, a [`CheckpointPolicy`], and
 //! the sink that persists each snapshot.
 
@@ -43,19 +43,6 @@ pub enum StopRule {
     /// Run exactly the budget's sweep count (a plain `swap_edges`-style
     /// run); completing the budget is success.
     FixedSweeps,
-    /// Stop once the ever-swapped fraction reaches the threshold (and, for
-    /// non-simple input, every violation is gone); exhausting the budget
-    /// first is a failure.
-    ///
-    /// **Calibration caveat:** the ever-swapped fraction is a *coverage*
-    /// proxy, not a convergence criterion — a chain in which nearly every
-    /// edge has been rewired once can still be far from uniform over the
-    /// realization space (Dutta–Fosdick–Clauset). Prefer
-    /// [`StopRule::Converged`] when the stopping point should carry a
-    /// statistical guarantee; `crates/stattest/tests/stopping_rules.rs`
-    /// demonstrates the threshold rule stopping early and biased on an
-    /// adversarial fixture.
-    Threshold(f64),
     /// Stop once the online convergence diagnostics say the chain has
     /// mixed: over the trailing `window` sweeps, every informative scalar
     /// observable series (degree-product sum, wedge sketch, ever-swapped
@@ -153,9 +140,10 @@ impl MixState {
     /// stop rule or tracking mode would silently change the trajectory, so
     /// a mismatch is corruption, not a preference.
     pub fn config_hash(&self) -> u64 {
+        // Tag 1 belonged to the retired ever-swapped threshold rule; the
+        // remaining tags keep their values so stored hashes stay valid.
         let (rule_tag, rule_param) = match self.stop {
             StopRule::FixedSweeps => (0u64, 0u64),
-            StopRule::Threshold(t) => (1u64, t.to_bits()),
             StopRule::Converged { min_ess, window } => {
                 (2u64, (u64::from(min_ess) << 32) | u64::from(window))
             }
@@ -197,29 +185,19 @@ impl MixState {
                 self.num_vertices
             )));
         }
-        match self.stop {
-            StopRule::Threshold(t) => {
-                if !(t.is_finite() && (0.0..=1.0).contains(&t)) {
-                    return Err(GenError::bad_input(format!(
-                        "mix state threshold {t} outside [0, 1]"
-                    )));
-                }
+        if let StopRule::Converged { min_ess, window } = self.stop {
+            if min_ess == 0 || window < 2 {
+                return Err(GenError::bad_input(format!(
+                    "mix state converged rule needs min_ess >= 1 and window >= 2, \
+                     got min_ess = {min_ess}, window = {window}"
+                )));
             }
-            StopRule::Converged { min_ess, window } => {
-                if min_ess == 0 || window < 2 {
-                    return Err(GenError::bad_input(format!(
-                        "mix state converged rule needs min_ess >= 1 and window >= 2, \
-                         got min_ess = {min_ess}, window = {window}"
-                    )));
-                }
-                if u64::from(min_ess) > u64::from(window) {
-                    return Err(GenError::bad_input(format!(
-                        "mix state converged rule min_ess {min_ess} exceeds its window \
-                         {window} (an ESS cannot exceed the series length)"
-                    )));
-                }
+            if u64::from(min_ess) > u64::from(window) {
+                return Err(GenError::bad_input(format!(
+                    "mix state converged rule min_ess {min_ess} exceeds its window \
+                     {window} (an ESS cannot exceed the series length)"
+                )));
             }
-            StopRule::FixedSweeps => {}
         }
         Ok(())
     }
@@ -228,7 +206,7 @@ impl MixState {
 /// How a resumable run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MixOutcome {
-    /// The stop rule was satisfied: threshold reached, or the fixed sweep
+    /// The stop rule was satisfied: the chain converged, or the fixed sweep
     /// budget fully ran.
     Completed,
     /// The interrupt flag was raised; the current sweep was drained and the
@@ -253,8 +231,9 @@ pub struct MixReport {
 }
 
 impl MixReport {
-    /// The typed budget-exhaustion error matching this report, as
-    /// [`crate::try_swap_until_mixed`] would raise it.
+    /// The typed budget-exhaustion error matching this report: how many
+    /// sweeps ran against which cap, the last mixing statistics, and
+    /// whether the wall clock cut the run short.
     pub fn budget_error(&self, budget: &crate::MixingBudget) -> GenError {
         let last = self.stats.iterations.last().copied().unwrap_or_default();
         GenError::MixingBudgetExceeded {
@@ -372,7 +351,10 @@ mod tests {
             completed_sweeps: 1,
             seed: 7,
             sweep_budget: 10,
-            stop: StopRule::Threshold(0.9),
+            stop: StopRule::Converged {
+                min_ess: 4,
+                window: 8,
+            },
             track_violations: false,
             track_diagnostics: false,
             iterations: vec![IterationStats::default()],
@@ -386,8 +368,6 @@ mod tests {
         seed.seed = 8;
         let mut rule = base.clone();
         rule.stop = StopRule::FixedSweeps;
-        let mut thr = base.clone();
-        thr.stop = StopRule::Threshold(0.95);
         let mut track = base.clone();
         track.track_violations = true;
         let mut diag = base.clone();
@@ -402,7 +382,7 @@ mod tests {
             min_ess: 32,
             window: 128,
         };
-        for other in [&seed, &rule, &thr, &track, &diag, &conv, &conv_other] {
+        for other in [&seed, &rule, &track, &diag, &conv, &conv_other] {
             assert_ne!(base.config_hash(), other.config_hash());
         }
         assert_ne!(conv.config_hash(), conv_other.config_hash());
@@ -425,9 +405,6 @@ mod tests {
         let mut verts = state();
         verts.num_vertices = 2;
         assert!(verts.validate().is_err());
-        let mut thr = state();
-        thr.stop = StopRule::Threshold(f64::NAN);
-        assert!(thr.validate().is_err());
         for (min_ess, window) in [(0, 64), (8, 1), (65, 64)] {
             let mut conv = state();
             conv.stop = StopRule::Converged { min_ess, window };

@@ -66,7 +66,8 @@ impl SwapStats {
     }
 
     /// The first iteration (1-based) at which the ever-swapped fraction
-    /// reached `threshold`, or `None` if it never did.
+    /// reached `threshold`, or `None` if it never did. A reported statistic
+    /// (the paper's §VIII-C coverage measure), not a stop rule.
     pub fn iterations_to_mix(&self, threshold: f64) -> Option<usize> {
         self.iterations
             .iter()

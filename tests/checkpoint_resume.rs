@@ -1,4 +1,4 @@
-//! Crash-consistency contract, end to end: interrupt → `ckpt_v1` round
+//! Crash-consistency contract, end to end: interrupt → `ckpt_v2` round
 //! trip → resume must land on the **byte-identical** graph an
 //! uninterrupted run produces, on any rayon pool size; corrupt
 //! checkpoints must fail typed, never panic, never resume wrong.
@@ -221,27 +221,31 @@ fn converged_rule_resumes_byte_identical_across_pool_sizes() {
 
 #[test]
 fn budget_exhausted_checkpoint_resumes_through_the_wire_format() {
-    let (n, seed, threshold) = (200u32, 7u64, 0.999f64);
+    let (n, seed) = (200u32, 7u64);
+    let stop = StopRule::Converged {
+        min_ess: 8,
+        window: 16,
+    };
 
-    // Uninterrupted threshold run as the reference.
+    // Uninterrupted converged run as the reference.
     let mut ref_graph = ring(n);
     let ref_report = swap::try_mix_resumable(
         &mut ref_graph,
-        StopRule::Threshold(threshold),
+        stop,
         &MixingBudget::sweeps(400),
         seed,
         &mut MixControl::none(),
         &mut SwapWorkspace::new(),
         &RecoveryPolicy::default(),
     )
-    .expect("reference threshold run");
+    .expect("reference converged run");
     assert_eq!(ref_report.outcome, MixOutcome::Completed);
 
     // Starve the same run to one sweep; its checkpoint goes to disk.
     let mut starved_graph = ring(n);
     let starved = swap::try_mix_resumable(
         &mut starved_graph,
-        StopRule::Threshold(threshold),
+        stop,
         &MixingBudget::sweeps(1),
         seed,
         &mut MixControl::none(),

@@ -31,25 +31,29 @@ fn mixing_actually_changes_the_graph() {
 #[test]
 fn multigraph_input_gets_simplified() {
     // The paper: O(m) Chung-Lu output + "about two dozen" swap iterations
-    // eliminates all multi-edges.
+    // eliminates all multi-edges. Sweeps-to-simple varies with the seed
+    // (over 400 seeds: median 19, p90 30, max 60), so the claim is checked
+    // as a median over 16 seeds, each run under a 64-sweep cap.
     let dist = as20_like();
-    let mut g = generators::chung_lu_om(&dist, 7);
-    assert!(!g.is_simple(), "fixture should start non-simple");
-    let cfg = GeneratorConfig {
-        swap_iterations: 30,
-        seed: 8,
-        refine_rounds: 0,
-        refine_tolerance: None,
-        track_violations: true,
-        metrics: None,
-        swap_shards: None,
-        key_width: nullmodel::KeyWidth::Auto,
-        track_swap_diagnostics: false,
-    };
-    let (stats, _) = generate_from_edge_list(&mut g, &cfg);
-    assert!(g.is_simple(), "not simplified after 30 iterations");
-    let when = stats.iterations_to_simple().expect("tracked");
-    assert!(when <= 30, "took {when} iterations");
+    let start = generators::chung_lu_om(&dist, 7);
+    assert!(!start.is_simple(), "fixture should start non-simple");
+    let mut when: Vec<usize> = (0..16)
+        .map(|seed| {
+            let mut g = start.clone();
+            let cfg = GeneratorConfig::new(seed).with_swap_iterations(64);
+            let (stats, _) = generate_from_edge_list(&mut g, &cfg);
+            assert!(g.is_simple(), "seed {seed}: not simplified after 64 sweeps");
+            stats
+                .iterations_to_simple()
+                .expect("non-simple input is tracked")
+        })
+        .collect();
+    when.sort_unstable();
+    let median = when[when.len() / 2];
+    assert!(
+        median <= 24,
+        "median sweeps to simple is {median}: {when:?}"
+    );
 }
 
 #[test]

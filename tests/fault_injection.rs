@@ -13,8 +13,8 @@ use graphcore::io::{read_edge_list, ParseError};
 use graphcore::{DegreeDistribution, EdgeList};
 use nullmodel::{try_generate_from_edge_list_with_workspace, GeneratorConfig};
 use swap::{
-    try_swap_edges_with_workspace, try_swap_until_mixed, MixingBudget, RecoveryPolicy, SwapConfig,
-    SwapWorkspace,
+    try_swap_edges_with_workspace, MixControl, MixOutcome, MixingBudget, RecoveryPolicy, StopRule,
+    SwapConfig, SwapStats, SwapWorkspace,
 };
 
 /// A ring of `n` vertices: every vertex has degree 2, every swap is legal.
@@ -40,6 +40,36 @@ fn policy_for(plan: &FaultPlan) -> RecoveryPolicy {
         max_grows: plan.max_grows,
         serial_fallback: plan.serial_fallback,
         ..RecoveryPolicy::default()
+    }
+}
+
+/// A converged rule small enough for these fixtures to meet quickly.
+const CONVERGED: StopRule = StopRule::Converged {
+    min_ess: 8,
+    window: 16,
+};
+
+/// Mix under `stop` within `sweeps`; a run that ends short of its stop
+/// rule surfaces as the report's typed budget error.
+fn mix(
+    graph: &mut EdgeList,
+    stop: StopRule,
+    sweeps: usize,
+    seed: u64,
+) -> Result<SwapStats, GenError> {
+    let budget = MixingBudget::sweeps(sweeps);
+    let report = swap::try_mix_resumable(
+        graph,
+        stop,
+        &budget,
+        seed,
+        &mut MixControl::none(),
+        &mut SwapWorkspace::new(),
+        &RecoveryPolicy::default(),
+    )?;
+    match report.outcome {
+        MixOutcome::Completed => Ok(report.stats),
+        _ => Err(report.budget_error(&budget)),
     }
 }
 
@@ -147,8 +177,7 @@ fn starved_mixing_budget_fails_typed_with_accurate_report() {
     let plan = FaultPlan::starved_mixing_budget("starved", 3);
     let sweeps = plan.max_sweeps.expect("plan sets a budget");
     let mut graph = unswappable();
-    let err = try_swap_until_mixed(&mut graph, 0.5, &MixingBudget::sweeps(sweeps), 1)
-        .expect_err("the 2-edge path can never mix");
+    let err = mix(&mut graph, CONVERGED, sweeps, 1).expect_err("the 2-edge path can never mix");
     let Expectation::FailsWith(code) = plan.expect else {
         panic!("plan must expect failure");
     };
@@ -173,24 +202,17 @@ fn starved_mixing_budget_fails_typed_with_accurate_report() {
 #[test]
 fn doubled_budget_succeeds_deterministically_where_starved_budget_fails() {
     let seed = 5;
-    let threshold = 0.99;
 
     // Self-calibrate: learn how many sweeps this graph actually needs.
     let mut calibrated = ring(120);
     let generous =
-        try_swap_until_mixed(&mut calibrated, threshold, &MixingBudget::sweeps(400), seed)
-            .expect("a 400-sweep budget is generous");
+        mix(&mut calibrated, CONVERGED, 400, seed).expect("a 400-sweep budget is generous");
     let needed = generous.iterations.len();
     assert!(needed >= 2, "fixture must need at least 2 sweeps: {needed}");
 
     let mut starved_graph = ring(120);
-    let err = try_swap_until_mixed(
-        &mut starved_graph,
-        threshold,
-        &MixingBudget::sweeps(needed - 1),
-        seed,
-    )
-    .expect_err("one sweep short must fail");
+    let err = mix(&mut starved_graph, CONVERGED, needed - 1, seed)
+        .expect_err("one sweep short must fail");
     let GenError::MixingBudgetExceeded {
         sweeps_completed, ..
     } = err
@@ -203,13 +225,8 @@ fn doubled_budget_succeeds_deterministically_where_starved_budget_fails() {
     // the same graph as the generous run (the budget never alters the
     // trajectory, only where it may be cut off).
     let mut doubled_graph = ring(120);
-    let doubled = try_swap_until_mixed(
-        &mut doubled_graph,
-        threshold,
-        &MixingBudget::sweeps(2 * (needed - 1)),
-        seed,
-    )
-    .expect("doubled budget must succeed");
+    let doubled = mix(&mut doubled_graph, CONVERGED, 2 * (needed - 1), seed)
+        .expect("doubled budget must succeed");
     assert_eq!(doubled.iterations.len(), needed);
     assert_eq!(serialize(&doubled_graph), serialize(&calibrated));
 }
@@ -251,7 +268,7 @@ fn garbled_checkpoints_fail_typed_through_the_injection_helpers() {
     let mut ctl = swap::MixControl::none();
     let report = swap::try_mix_resumable(
         &mut graph,
-        swap::StopRule::Threshold(0.999),
+        CONVERGED,
         &MixingBudget::sweeps(1),
         9,
         &mut ctl,
