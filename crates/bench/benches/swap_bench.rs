@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use swap::SwapConfig;
+use swap::{try_swap_edges, SwapWorkspace};
 
 fn bench_swaps(c: &mut Criterion) {
     let mut group = c.benchmark_group("swap_iteration");
@@ -17,14 +17,16 @@ fn bench_swaps(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("parallel", m), &base, |b, base| {
             b.iter(|| {
                 let mut g = base.clone();
-                swap::swap_edges(&mut g, &SwapConfig::new(1, 7));
+                try_swap_edges(&mut g, 1, 7, &mut SwapWorkspace::new()).expect("sweep");
                 black_box(g.len())
             })
         });
         group.bench_with_input(BenchmarkId::new("serial", m), &base, |b, base| {
             b.iter(|| {
                 let mut g = base.clone();
-                swap::swap_edges_serial(&mut g, &SwapConfig::new(1, 7));
+                let mut ws = SwapWorkspace::new();
+                ws.set_serial(true);
+                try_swap_edges(&mut g, 1, 7, &mut ws).expect("sweep");
                 black_box(g.len())
             })
         });

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graphcore::EdgeList;
 use std::hint::black_box;
-use swap::{SwapConfig, SwapWorkspace};
+use swap::{try_swap_edges, SwapWorkspace};
 
 fn ring(m: usize) -> EdgeList {
     EdgeList::from_pairs((0..m as u32).map(|i| (i, (i + 1) % m as u32)))
@@ -26,7 +26,7 @@ fn bench_sweeps(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fresh", m), &base, |b, base| {
             b.iter(|| {
                 let mut g = base.clone();
-                swap::swap_edges(&mut g, &SwapConfig::new(1, 7));
+                try_swap_edges(&mut g, 1, 7, &mut SwapWorkspace::new()).expect("sweep");
                 black_box(g.len())
             })
         });
@@ -34,15 +34,16 @@ fn bench_sweeps(c: &mut Criterion) {
             let mut ws = SwapWorkspace::with_capacity(m);
             b.iter(|| {
                 let mut g = base.clone();
-                swap::swap_edges_with_workspace(&mut g, &SwapConfig::new(1, 7), &mut ws);
+                try_swap_edges(&mut g, 1, 7, &mut ws).expect("sweep");
                 black_box(g.len())
             })
         });
         group.bench_with_input(BenchmarkId::new("reuse_serial", m), &base, |b, base| {
             let mut ws = SwapWorkspace::with_capacity(m);
+            ws.set_serial(true);
             b.iter(|| {
                 let mut g = base.clone();
-                swap::swap_edges_serial_with_workspace(&mut g, &SwapConfig::new(1, 7), &mut ws);
+                try_swap_edges(&mut g, 1, 7, &mut ws).expect("sweep");
                 black_box(g.len())
             })
         });

@@ -28,8 +28,8 @@ fn main() {
     let runs = runs_or(100);
     let mats: Vec<AttachmentMatrix> = (0..runs)
         .map(|s| {
-            let g =
-                nullmodel::uniform_reference(&dist, 16, 0xF161 + s).expect("profile is graphical");
+            let g = nullmodel::try_uniform_reference(&dist, 16, 0xF161 + s)
+                .expect("profile is graphical");
             AttachmentMatrix::from_graph_with_layout(&g, &dist)
         })
         .collect();

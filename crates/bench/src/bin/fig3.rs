@@ -13,7 +13,7 @@ use bench::{default_scale, runs_or, Table};
 use datasets::Profile;
 use graphcore::metrics::DistributionComparison;
 use graphcore::{DegreeDistribution, EdgeList};
-use nullmodel::{generate_from_distribution, GeneratorConfig};
+use nullmodel::{try_generate_from_distribution, GeneratorConfig};
 
 const GENERATORS: [&str; 4] = ["O(m)", "O(m) simple", "O(n^2) edgeskip", "this paper"];
 
@@ -23,8 +23,12 @@ fn generate(method: usize, dist: &DegreeDistribution, seed: u64) -> EdgeList {
         1 => generators::erased_chung_lu(dist, seed).0,
         2 => generators::bernoulli_edgeskip(dist, seed),
         3 => {
-            generate_from_distribution(dist, &GeneratorConfig::new(seed).with_swap_iterations(5))
-                .graph
+            try_generate_from_distribution(
+                dist,
+                &GeneratorConfig::new(seed).with_swap_iterations(5),
+            )
+            .expect("profile is servable")
+            .graph
         }
         _ => unreachable!(),
     }

@@ -14,7 +14,6 @@ use bench::{runs_or, Table};
 use datasets::Profile;
 use graphcore::metrics::AttachmentMatrix;
 use graphcore::{DegreeDistribution, EdgeList};
-use swap::SwapConfig;
 
 const MAX_ITERS: usize = 24;
 
@@ -45,8 +44,8 @@ fn main() {
     let base_runs = runs_or(6).max(20) as usize;
     let mats: Vec<AttachmentMatrix> = (0..2 * base_runs as u64)
         .map(|s| {
-            let g =
-                nullmodel::uniform_reference(&dist, 128, 0xBA5E + s).expect("profile is graphical");
+            let g = nullmodel::try_uniform_reference(&dist, 128, 0xBA5E + s)
+                .expect("profile is graphical");
             AttachmentMatrix::from_graph_with_layout(&g, &dist)
         })
         .collect();
@@ -76,11 +75,8 @@ fn main() {
         let mut ws = swap::SwapWorkspace::new();
         for it in 1..=MAX_ITERS {
             for (s, g) in graphs.iter_mut().enumerate() {
-                swap::swap_edges_with_workspace(
-                    g,
-                    &SwapConfig::new(1, 0x5EED ^ ((s as u64) << 8) ^ it as u64),
-                    &mut ws,
-                );
+                let seed = 0x5EED ^ ((s as u64) << 8) ^ it as u64;
+                swap::try_swap_edges(g, 1, seed, &mut ws).expect("swap run");
             }
             errors[it][mi] = measure(&graphs);
         }

@@ -9,14 +9,13 @@
 use bench::{default_scale, eng, Table};
 use datasets::Profile;
 use graphcore::DegreeDistribution;
-use nullmodel::{generate_from_distribution, GeneratorConfig};
+use nullmodel::{try_generate_from_distribution, GeneratorConfig};
 use std::time::Instant;
-use swap::SwapConfig;
 
 fn time_with_one_swap(build: impl FnOnce() -> graphcore::EdgeList) -> f64 {
     let t = Instant::now();
     let mut g = build();
-    swap::swap_edges(&mut g, &SwapConfig::new(1, 0x515));
+    swap::try_swap_edges(&mut g, 1, 0x515, &mut swap::SwapWorkspace::new()).expect("swap run");
     t.elapsed().as_secs_f64()
 }
 
@@ -43,7 +42,7 @@ fn main() {
         let t_ours = {
             let t = Instant::now();
             let cfg = GeneratorConfig::new(4).with_swap_iterations(1);
-            let _ = generate_from_distribution(&dist, &cfg);
+            try_generate_from_distribution(&dist, &cfg).expect("profile is servable");
             t.elapsed().as_secs_f64()
         };
 

@@ -8,7 +8,7 @@
 
 use bench::{default_scale, eng, Table};
 use datasets::Profile;
-use nullmodel::{generate_from_distribution, GeneratorConfig, PhaseTimings};
+use nullmodel::{try_generate_from_distribution, GeneratorConfig, PhaseTimings};
 
 fn main() {
     println!("Fig. 6: per-phase execution time (seconds), 1 swap iteration\n");
@@ -30,7 +30,7 @@ fn main() {
     for profile in Profile::all() {
         let dist = profile.distribution(default_scale(profile));
         let cfg = GeneratorConfig::new(6).with_swap_iterations(1);
-        let out = generate_from_distribution(&dist, &cfg);
+        let out = try_generate_from_distribution(&dist, &cfg).expect("profile is servable");
         let t = out.timings;
         mean.accumulate(&t);
         count += 1;

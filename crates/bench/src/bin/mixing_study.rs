@@ -15,7 +15,6 @@ use bench::Table;
 use datasets::PowerLawSpec;
 use graphcore::metrics::gini_distribution;
 use graphcore::DegreeDistribution;
-use swap::SwapConfig;
 
 const ITERS: usize = 40;
 
@@ -25,7 +24,7 @@ fn measure(
     ws: &mut swap::SwapWorkspace,
 ) -> (f64, Option<usize>) {
     let mut g = generators::havel_hakimi(dist).expect("graphical");
-    let stats = swap::swap_edges_with_workspace(&mut g, &SwapConfig::new(ITERS, seed), ws);
+    let stats = swap::try_swap_edges(&mut g, ITERS, seed, ws).expect("swap run");
     let acc: f64 = stats
         .iterations
         .iter()

@@ -11,7 +11,7 @@
 use bench::{default_scale, eng, Table};
 use datasets::Profile;
 use std::time::Instant;
-use swap::SwapConfig;
+use swap::{try_swap_edges, SwapWorkspace};
 
 fn main() {
     let profile = Profile::LiveJournal;
@@ -40,7 +40,9 @@ fn main() {
         // Serial reference.
         let mut g = base.clone();
         let t = Instant::now();
-        let stats = swap::swap_edges_serial(&mut g, &SwapConfig::new(iters, 1));
+        let mut ws = SwapWorkspace::new();
+        ws.set_serial(true);
+        let stats = try_swap_edges(&mut g, iters, 1, &mut ws).expect("swap run");
         let secs = t.elapsed().as_secs_f64();
         let last = stats.iterations.last().expect("iterations > 0");
         table.row(vec![
@@ -54,7 +56,7 @@ fn main() {
         // Parallel (rayon pool).
         let mut g = base.clone();
         let t = Instant::now();
-        let stats = swap::swap_edges(&mut g, &SwapConfig::new(iters, 1));
+        let stats = try_swap_edges(&mut g, iters, 1, &mut SwapWorkspace::new()).expect("swap run");
         let secs = t.elapsed().as_secs_f64();
         let last = stats.iterations.last().expect("iterations > 0");
         table.row(vec![

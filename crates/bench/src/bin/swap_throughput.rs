@@ -4,14 +4,16 @@
 //!
 //! Two cost profiles are compared at each size, serial and parallel:
 //!
-//! * `fresh_per_sweep` — one [`swap::swap_edges`] call per sweep, so every
+//! * `fresh_per_sweep` — one [`swap::try_swap_edges`] call per sweep over a
+//!   fresh [`swap::SwapWorkspace`], so every
 //!   sweep rebuilds the workspace (table allocation + zeroed tag arrays +
 //!   dart/proposal buffers). This reproduces the allocation profile of the
 //!   pre-workspace loop, which paid those costs inside `run_until` on every
 //!   iteration.
-//! * `workspace_reuse` — one multi-sweep
-//!   [`swap::swap_edges_with_workspace`] call over a pre-grown
-//!   [`swap::SwapWorkspace`]: the steady-state zero-allocation path.
+//! * `workspace_reuse` — one multi-sweep [`swap::try_swap_edges`] call
+//!   over a pre-grown workspace: the steady-state zero-allocation path.
+//!
+//! The serial rows set [`swap::SwapWorkspace::set_serial`].
 //!
 //! Every result row records the rayon pool size it ran on (`threads`).
 //! With `NULLGRAPH_THREAD_SWEEP` set, the binary additionally re-times the
@@ -34,7 +36,7 @@ use graphcore::EdgeList;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use swap::{SwapConfig, SwapWorkspace};
+use swap::{try_swap_edges, SwapWorkspace};
 
 fn ring(m: usize) -> EdgeList {
     EdgeList::from_pairs((0..m as u32).map(|i| (i, (i + 1) % m as u32)))
@@ -87,18 +89,15 @@ fn thread_sweep() -> Option<Vec<usize>> {
     }
 }
 
-/// Time `sweeps` single-sweep `swap_edges` calls (fresh workspace each, the
+/// Time `sweeps` single-sweep calls, each over a fresh workspace (the
 /// pre-workspace cost profile).
 fn run_fresh(base: &EdgeList, sweeps: usize, serial: bool) -> f64 {
     let mut g = base.clone();
     let t = Instant::now();
     for k in 0..sweeps {
-        let cfg = SwapConfig::new(1, 0xBE9C_0000 + k as u64);
-        if serial {
-            swap::swap_edges_serial(&mut g, &cfg);
-        } else {
-            swap::swap_edges(&mut g, &cfg);
-        }
+        let mut ws = SwapWorkspace::new();
+        ws.set_serial(serial);
+        try_swap_edges(&mut g, 1, 0xBE9C_0000 + k as u64, &mut ws).expect("sweep");
     }
     t.elapsed().as_secs_f64() / sweeps as f64
 }
@@ -106,21 +105,12 @@ fn run_fresh(base: &EdgeList, sweeps: usize, serial: bool) -> f64 {
 /// Time one multi-sweep call over a pre-grown workspace (steady state).
 fn run_reuse(base: &EdgeList, sweeps: usize, serial: bool, ws: &mut SwapWorkspace) -> f64 {
     let mut g = base.clone();
+    ws.set_serial(serial);
     // Warm the workspace to this size outside the measurement.
     let mut warm = base.clone();
-    let warm_cfg = SwapConfig::new(1, 0x3A3A);
-    if serial {
-        swap::swap_edges_serial_with_workspace(&mut warm, &warm_cfg, ws);
-    } else {
-        swap::swap_edges_with_workspace(&mut warm, &warm_cfg, ws);
-    }
-    let cfg = SwapConfig::new(sweeps, 0xBE9C_0000);
+    try_swap_edges(&mut warm, 1, 0x3A3A, ws).expect("warm-up sweep");
     let t = Instant::now();
-    if serial {
-        swap::swap_edges_serial_with_workspace(&mut g, &cfg, ws);
-    } else {
-        swap::swap_edges_with_workspace(&mut g, &cfg, ws);
-    }
+    try_swap_edges(&mut g, sweeps, 0xBE9C_0000, ws).expect("measured sweeps");
     t.elapsed().as_secs_f64() / sweeps as f64
 }
 

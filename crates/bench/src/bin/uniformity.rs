@@ -13,7 +13,6 @@
 use bench::{runs_or, Table};
 use graphcore::{DegreeSequence, Edge};
 use std::collections::HashMap;
-use swap::SwapConfig;
 
 /// All labeled simple graphs realizing `degs`, as sorted key vectors.
 fn enumerate_realizations(degs: &[u32]) -> Vec<Vec<u64>> {
@@ -68,13 +67,10 @@ fn main() {
         let start = generators::havel_hakimi_sequence(&DegreeSequence::new(degs.clone())).unwrap();
         let mut counts: HashMap<Vec<u64>, u64> = HashMap::new();
         let mut ws = swap::SwapWorkspace::new();
+        ws.set_serial(true);
         for t in 0..trials {
             let mut g = start.clone();
-            swap::swap_edges_serial_with_workspace(
-                &mut g,
-                &SwapConfig::new(14, 0xDEAD ^ t),
-                &mut ws,
-            );
+            swap::try_swap_edges(&mut g, 14, 0xDEAD ^ t, &mut ws).expect("swap run");
             let mut keys: Vec<u64> = g.edges().iter().map(|e| e.key()).collect();
             keys.sort_unstable();
             *counts.entry(keys).or_insert(0) += 1;

@@ -4,9 +4,9 @@
 use super::CliError;
 use crate::args::{Parsed, Spec};
 use directed::{
-    generate_directed_from_distribution, io as dio, reciprocity, swap_directed_edges,
-    DirectedGeneratorConfig, DirectedSwapConfig,
+    generate_directed_from_distribution, io as dio, reciprocity, DirectedGeneratorConfig,
 };
+use swap::SwapWorkspace;
 
 /// The options `nullgraph directed` accepts.
 pub const SPEC: Spec = Spec {
@@ -35,7 +35,7 @@ fn generate(args: &Parsed, dist_path: &str) -> Result<(), CliError> {
         swap_iterations: swaps,
         seed,
     };
-    let g = generate_directed_from_distribution(&dist, &cfg);
+    let g = generate_directed_from_distribution(&dist, &cfg)?;
     dio::save_diedge_list(&g, out_path)?;
     if !args.flag("quiet") {
         println!(
@@ -57,13 +57,13 @@ fn mix(args: &Parsed, in_path: &str) -> Result<(), CliError> {
     let mut g = dio::load_diedge_list(in_path)?;
     let before = g.joint_degrees();
     let before_recip = reciprocity(&g);
-    let stats = swap_directed_edges(&mut g, &DirectedSwapConfig::new(iterations, seed));
+    let stats = swap::try_swap_edges(&mut g, iterations, seed, &mut SwapWorkspace::new())?;
     debug_assert_eq!(g.joint_degrees(), before);
     dio::save_diedge_list(&g, out_path)?;
     if !args.flag("quiet") {
         println!(
             "mixed digraph: {} accepted swaps over {iterations} iterations",
-            stats.total()
+            stats.total_successful()
         );
         println!("reciprocity: {:.4} -> {:.4}", before_recip, reciprocity(&g));
     }

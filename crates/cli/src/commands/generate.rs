@@ -1,5 +1,5 @@
-//! `nullgraph generate` — problem 2: degree distribution → uniform simple
-//! graph.
+//! `nullgraph generate` — problem 2: degree distribution → simple graph,
+//! mixed by degree-preserving double-edge swaps.
 
 use super::CliError;
 use crate::args::{Parsed, Spec};

@@ -69,8 +69,10 @@ pub fn usage() -> &'static str {
 USAGE:
   nullgraph generate --dist <file> --out <file> [--seed N] [--swaps N] [--refine N]
             [--refine-tol F] [--shards N] [--key-width auto|32|64|wide] [--metrics <file>]
-      Generate a uniformly-random simple graph from a degree distribution
-      (one 'degree count' pair per line). With --refine-tol the probability
+      Generate a simple graph from a degree distribution (one 'degree count'
+      pair per line) and mix it with --swaps sweeps of degree-preserving
+      double-edge swaps (the parallel sweep is not an exactly uniform
+      sampler; see ROADMAP.md). With --refine-tol the probability
       refinement must converge below F or the run fails with
       error_code=solver_not_converged. --metrics writes a JSON
       MetricsSnapshot of pipeline counters and phase timings.

@@ -399,6 +399,31 @@ fn stalled_refinement_is_exit_8() {
 }
 
 #[test]
+fn lfr_with_small_communities_and_hubs_exits_zero_with_a_simple_graph() {
+    // Degree-20 hubs in communities of 3-6: a community's share of a hub
+    // needs more partners than the members that join the community.
+    let dist = write("lfr_hubs_dist.txt", "1 300\n2 100\n20 10\n");
+    let out = tmp("lfr_hubs_graph.txt");
+    let r = nullgraph(&[
+        "lfr",
+        "--dist",
+        dist.to_str().unwrap(),
+        "--mu",
+        "0.5",
+        "--min-comm",
+        "3",
+        "--max-comm",
+        "6",
+        "--out",
+        out.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert_eq!(r.status.code(), Some(0), "stderr: {}", stderr(&r));
+    let g = graphcore::io::load_edge_list(&out).expect("lfr writes its graph");
+    assert!(!g.is_empty() && g.is_simple());
+}
+
+#[test]
 fn table_full_maps_to_exit_6_in_process() {
     // No CLI input can fill a correctly-auto-sized table (recovery grows it
     // first), so the TableFull→6 mapping is asserted on the error type.

@@ -507,7 +507,7 @@ impl ShardedEpochHashMap {
 
     /// Apply a whole pre-scattered run of claims to shard `s`, software-
     /// pipelined: each claim's home slot is prefetched
-    /// [`CLAIM_RUN_LOOKAHEAD`] iterations ahead, so the dependent probe
+    /// `CLAIM_RUN_LOOKAHEAD` iterations ahead, so the dependent probe
     /// loads overlap instead of serializing on memory latency.
     ///
     /// `keys[i]` is claimed with `value_of(idxs[i])`. Every key must

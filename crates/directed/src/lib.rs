@@ -29,8 +29,9 @@
 //!                DirectedGeneratorConfig};
 //!
 //! let dist = DiDegreeDistribution::from_pairs(vec![((1, 1), 60), ((3, 3), 10)]).unwrap();
-//! let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(7));
+//! let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(7))?;
 //! assert!(g.is_simple());
+//! # Ok::<(), ::swap::GenError>(())
 //! ```
 
 pub mod chung_lu;
@@ -48,6 +49,7 @@ pub use probs::{directed_heuristic_probabilities, DirectedProbMatrix};
 pub use skip::generate_directed;
 pub use swap::{swap_directed_edges, DirectedSwapConfig};
 
+use ::swap::{GenError, SwapWorkspace};
 use parutil::rng::mix64;
 
 /// Greedy realization of a directed degree sequence (`seq[v] = (out, in)`),
@@ -128,18 +130,21 @@ impl DirectedGeneratorConfig {
 
 /// End-to-end directed Algorithm IV.1: heuristic probabilities →
 /// edge-skipping → directed swaps. The output is a simple digraph matching
-/// the joint in/out distribution in expectation.
+/// the joint in/out distribution in expectation. A table fault the swap
+/// recovery cannot absorb is a typed error.
 pub fn generate_directed_from_distribution(
     dist: &DiDegreeDistribution,
     cfg: &DirectedGeneratorConfig,
-) -> DiEdgeList {
+) -> Result<DiEdgeList, GenError> {
     let probs = directed_heuristic_probabilities(dist);
     let mut graph = generate_directed(&probs, dist, mix64(cfg.seed ^ 0xD1E5));
-    swap_directed_edges(
+    ::swap::try_swap_edges(
         &mut graph,
-        &DirectedSwapConfig::new(cfg.swap_iterations, mix64(cfg.seed ^ 0xD5A9)),
-    );
-    graph
+        cfg.swap_iterations,
+        mix64(cfg.seed ^ 0xD5A9),
+        &mut SwapWorkspace::new(),
+    )?;
+    Ok(graph)
 }
 
 #[cfg(test)]
@@ -199,7 +204,8 @@ mod tests {
             ((12, 12), 4),
         ])
         .unwrap();
-        let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(3));
+        let g =
+            generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(3)).unwrap();
         assert!(g.is_simple());
         let target = dist.num_edges() as f64;
         let got = g.len() as f64;
@@ -212,7 +218,8 @@ mod tests {
         let dist =
             DiDegreeDistribution::from_pairs(vec![((0, 4), 50), ((1, 1), 100), ((4, 0), 50)])
                 .unwrap();
-        let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(9));
+        let g =
+            generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(9)).unwrap();
         assert!(g.is_simple());
         let target = dist.num_edges() as f64;
         let got = g.len() as f64;
@@ -223,8 +230,8 @@ mod tests {
     fn deterministic() {
         let dist = DiDegreeDistribution::from_pairs(vec![((2, 2), 50), ((4, 4), 10)]).unwrap();
         let cfg = DirectedGeneratorConfig::new(5);
-        let a = generate_directed_from_distribution(&dist, &cfg);
-        let b = generate_directed_from_distribution(&dist, &cfg);
+        let a = generate_directed_from_distribution(&dist, &cfg).unwrap();
+        let b = generate_directed_from_distribution(&dist, &cfg).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -11,7 +11,7 @@
 //! `(edge list, seed)` on any pool size and shard count.
 
 use crate::digraph::{DiEdge, DiEdgeList};
-use swap::{SwapConfig, SwapEdge, SwapGraph};
+use swap::{SwapEdge, SwapGraph, SwapWorkspace};
 
 impl SwapEdge for DiEdge {
     #[inline(always)]
@@ -52,6 +52,10 @@ impl SwapGraph for DiEdgeList {
     fn edges_mut(&mut self) -> &mut [DiEdge] {
         DiEdgeList::edges_mut(self)
     }
+
+    fn is_simple(&self) -> bool {
+        DiEdgeList::is_simple(self)
+    }
 }
 
 /// Configuration for a directed swap run.
@@ -84,14 +88,16 @@ impl DirectedSwapStats {
     }
 }
 
-/// Run parallel directed double-edge swaps in place.
+/// Run parallel directed double-edge swaps in place: the fixed-sweep run
+/// of [`swap::try_swap_edges`] on the digraph, over a fresh workspace.
 ///
 /// Panics only if a concurrent table faults even after the default
-/// grow-and-retry recovery (as [`swap::swap_edges`] does); callers that
-/// reuse buffers or need the typed error call the generic
-/// [`swap::try_swap_edges_with_workspace`] on the digraph directly.
+/// grow-and-retry recovery; callers that reuse buffers or need the typed
+/// error call [`swap::try_swap_edges`] (or [`swap::try_mix_resumable`])
+/// on the digraph directly.
 pub fn swap_directed_edges(graph: &mut DiEdgeList, cfg: &DirectedSwapConfig) -> DirectedSwapStats {
-    let stats = swap::swap_edges(graph, &SwapConfig::new(cfg.iterations, cfg.seed));
+    let stats = swap::try_swap_edges(graph, cfg.iterations, cfg.seed, &mut SwapWorkspace::new())
+        .unwrap_or_else(|e| panic!("{e}"));
     DirectedSwapStats {
         successes: stats
             .iterations
@@ -106,12 +112,26 @@ mod tests {
     use super::*;
     use crate::havel_hakimi_directed;
     use proptest_lite::prelude::*;
+    use swap::{
+        CheckpointPolicy, GenError, MixControl, MixOutcome, MixState, MixingBudget, RecoveryPolicy,
+        StopRule,
+    };
 
     fn ring(n: u32) -> DiEdgeList {
         DiEdgeList::from_edges(
             n as usize,
             (0..n).map(|i| DiEdge::new(i, (i + 1) % n)).collect(),
         )
+    }
+
+    /// [`swap::try_swap_edges`] on a digraph over `ws`.
+    fn run(
+        g: &mut DiEdgeList,
+        sweeps: usize,
+        seed: u64,
+        ws: &mut SwapWorkspace<DiEdge>,
+    ) -> swap::SwapStats {
+        swap::try_swap_edges(g, sweeps, seed, ws).expect("fixed-sweep run")
     }
 
     #[test]
@@ -134,7 +154,9 @@ mod tests {
         let mut b = a.clone();
         let cfg = DirectedSwapConfig::new(4, 9);
         let sa = pool.install(|| swap_directed_edges(&mut a, &cfg));
-        let sb = swap::swap_edges_serial(&mut b, &SwapConfig::new(4, 9));
+        let mut serial = SwapWorkspace::new();
+        serial.set_serial(true);
+        let sb = run(&mut b, 4, 9, &mut serial);
         assert_eq!(a, b);
         assert_eq!(sa.total(), sb.total_successful());
     }
@@ -178,22 +200,21 @@ mod tests {
         // Directed runs inherit the kernel's grow-and-retry: an undersized
         // workspace replays to the same bytes, or, with recovery off, fails
         // with a typed table_full and leaves the graph untouched.
-        let cfg = SwapConfig::new(4, 77);
         let mut want = ring(300);
-        swap::swap_edges(&mut want, &cfg);
+        run(&mut want, 4, 77, &mut SwapWorkspace::new());
         let mut got = ring(300);
-        let mut ws = swap::SwapWorkspace::<DiEdge>::with_table_capacity(64);
-        swap::try_swap_edges_with_workspace(&mut got, &cfg, &mut ws, &Default::default())
-            .expect("grow-and-retry should recover");
+        run(&mut got, 4, 77, &mut SwapWorkspace::with_table_capacity(64));
         assert_eq!(got, want);
 
         let mut g = ring(300);
-        let mut ws = swap::SwapWorkspace::<DiEdge>::with_table_capacity(16);
-        let err = swap::try_swap_edges_with_workspace(
+        let err = swap::try_mix_resumable(
             &mut g,
-            &cfg,
-            &mut ws,
-            &swap::RecoveryPolicy::none(),
+            StopRule::FixedSweeps,
+            &MixingBudget::sweeps(4),
+            77,
+            &mut MixControl::none(),
+            &mut SwapWorkspace::with_table_capacity(16),
+            &RecoveryPolicy::none(),
         )
         .expect_err("16-key tables cannot hold 300 edges");
         assert_eq!(err.error_code(), "table_full");
@@ -204,13 +225,12 @@ mod tests {
     fn reused_workspace_matches_fresh_runs() {
         // One directed workspace serving digraphs of different sizes gives
         // the bytes of a fresh workspace every time.
-        let mut ws = swap::SwapWorkspace::<DiEdge>::new();
+        let mut ws = SwapWorkspace::<DiEdge>::new();
         for (n, seed) in [(500u32, 1u64), (120, 2), (500, 3)] {
-            let cfg = SwapConfig::new(3, seed);
             let mut want = ring(n);
-            swap::swap_edges(&mut want, &cfg);
+            run(&mut want, 3, seed, &mut SwapWorkspace::new());
             let mut got = ring(n);
-            swap::swap_edges_with_workspace(&mut got, &cfg, &mut ws);
+            run(&mut got, 3, seed, &mut ws);
             assert_eq!(got, want, "n {n} seed {seed}");
         }
     }
@@ -236,11 +256,10 @@ mod tests {
             (loops, copies.values().map(|c| c - 1).sum::<u64>())
         };
         assert_eq!(recount(&start), (1, 2));
+        // No flag asks for tracking: it follows from the non-simple input.
         for sweeps in 1..=4 {
-            let mut cfg = SwapConfig::new(sweeps, 5);
-            cfg.track_violations = true;
             let mut g = start.clone();
-            let stats = swap::swap_edges(&mut g, &cfg);
+            let stats = run(&mut g, sweeps, 5, &mut SwapWorkspace::new());
             let last = stats.iterations.last().expect("one entry per sweep");
             assert_eq!(
                 (last.self_loops, last.multi_edges),
@@ -248,6 +267,62 @@ mod tests {
                 "after {sweeps} sweeps"
             );
         }
+    }
+
+    #[test]
+    fn driver_checkpoints_hold_directed_edges_in_slot_order() {
+        // A ring plus its reversal: every edge has an antiparallel twin.
+        let n = 80u32;
+        let mut edges: Vec<DiEdge> = (0..n).map(|i| DiEdge::new(i, (i + 1) % n)).collect();
+        edges.extend((0..n).map(|i| DiEdge::new((i + 1) % n, i)));
+        let start = DiEdgeList::from_edges(n as usize, edges);
+        assert!(start.is_simple());
+        let (outs, ins) = (start.out_degrees(), start.in_degrees());
+        let sweeps = 6;
+
+        let mut states: Vec<MixState<DiEdge>> = Vec::new();
+        let mut sink = |st: &MixState<DiEdge>| -> Result<(), GenError> {
+            states.push(st.clone());
+            Ok(())
+        };
+        let mut ctl = MixControl {
+            interrupt: None,
+            policy: Some(CheckpointPolicy::sweeps(1)),
+            sink: Some(&mut sink),
+        };
+        let mut g = start.clone();
+        let report = swap::try_mix_resumable(
+            &mut g,
+            StopRule::FixedSweeps,
+            &MixingBudget::sweeps(sweeps),
+            17,
+            &mut ctl,
+            &mut SwapWorkspace::new(),
+            &RecoveryPolicy::default(),
+        )
+        .expect("directed run");
+        assert_eq!(report.outcome, MixOutcome::Completed);
+        assert!(report.stats.total_successful() > 0, "fixture must move");
+        assert_eq!(states.len(), sweeps);
+        for (k, st) in states.iter().enumerate() {
+            assert_eq!(st.completed_sweeps, k as u64 + 1);
+            assert_eq!(st.num_vertices, n as usize);
+            assert!(st.validate().is_ok());
+            // Slot order: the state after k+1 sweeps is exactly the edge
+            // list a (k+1)-sweep run writes back.
+            let mut prefix = start.clone();
+            run(&mut prefix, k + 1, 17, &mut SwapWorkspace::new());
+            assert_eq!(st.edges, prefix.edges(), "state after sweep {}", k + 1);
+            // Orientation intact: every vertex keeps its in and out degree.
+            let dg = DiEdgeList::from_edges(st.num_vertices, st.edges.clone());
+            assert_eq!(
+                (dg.out_degrees(), dg.in_degrees()),
+                (outs.clone(), ins.clone())
+            );
+            assert!(st.edges.iter().any(|e| e.from() > e.to()));
+            assert!(st.edges.iter().any(|e| e.from() < e.to()));
+        }
+        assert_eq!(states.last().map(|st| st.edges.as_slice()), Some(g.edges()));
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Null-model ensembles and significance testing.
 //!
 //! The end product of null-model generation is almost always an *ensemble*:
-//! many independent uniform samples against which an observed statistic is
+//! many independently mixed samples against which an observed statistic is
 //! scored (motif z-scores, modularity significance, assortativity
 //! baselines — the applications the paper's introduction lists). This
-//! module packages that workflow.
+//! module packages that workflow. Each member is mixed by
+//! degree-preserving double-edge swaps, whose parallel sweep is not an
+//! exactly uniform sampler (ROADMAP.md, item 1).
 
 use crate::{GenError, GeneratorConfig};
 use graphcore::{DegreeDistribution, EdgeList};
 use parutil::rng::mix64;
-use swap::{MixControl, MixingBudget, RecoveryPolicy, StopRule, SwapWorkspace};
+use swap::SwapWorkspace;
 
 /// The derived seed of edge-list ensemble member `k`.
 ///
@@ -23,25 +25,11 @@ pub fn ensemble_member_seed(base: u64, k: usize) -> u64 {
     mix64(base ^ (k as u64).wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
-/// Generate `count` independent uniform samples from a degree distribution
-/// (each sample uses a distinct derived seed). One swap workspace serves
-/// every sample, so sample `k + 1` reuses the buffers sample `k` grew.
-///
-/// Panics on the failure modes [`try_ensemble_from_distribution`] reports
-/// as typed errors.
-pub fn ensemble_from_distribution(
-    dist: &DegreeDistribution,
-    cfg: &GeneratorConfig,
-    count: usize,
-) -> Vec<EdgeList> {
-    match try_ensemble_from_distribution(dist, cfg, count) {
-        Ok(graphs) => graphs,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`ensemble_from_distribution`]: the first failing sample aborts
-/// the ensemble with its typed error.
+/// Generate `count` independent samples from a degree distribution, each
+/// with [`crate::try_generate_from_distribution`] under a distinct derived
+/// seed. One swap workspace serves every sample, so sample `k + 1` reuses
+/// the buffers sample `k` grew. The first failing sample aborts the
+/// ensemble with its typed error.
 pub fn try_ensemble_from_distribution(
     dist: &DegreeDistribution,
     cfg: &GeneratorConfig,
@@ -65,7 +53,7 @@ pub fn try_ensemble_from_distribution(
 /// seed [`ensemble_member_seed`]`(seed, k)`.
 ///
 /// This is the *mix ensemble* — the serve crate's job contract. Member `k`
-/// is exactly [`crate::try_generate_from_edge_list`] under that seed, and a
+/// is exactly [`swap::try_swap_edges`] under that seed, and a
 /// member interrupted mid-mix, checkpointed, and resumed on another process
 /// is byte-identical to this uninterrupted reference (the property
 /// `crates/serve` restarts rely on).
@@ -93,19 +81,10 @@ pub fn try_mix_ensemble_from_edge_list_with_workspace(
     count: usize,
     ws: &mut SwapWorkspace,
 ) -> Result<Vec<EdgeList>, GenError> {
-    let budget = MixingBudget::sweeps(sweeps);
     (0..count)
         .map(|k| {
             let mut g = observed.clone();
-            swap::try_mix_resumable(
-                &mut g,
-                StopRule::FixedSweeps,
-                &budget,
-                ensemble_member_seed(seed, k),
-                &mut MixControl::none(),
-                ws,
-                &RecoveryPolicy::default(),
-            )?;
+            swap::try_swap_edges(&mut g, sweeps, ensemble_member_seed(seed, k), ws)?;
             Ok(g)
         })
         .collect()
@@ -172,16 +151,14 @@ impl SignificanceReport {
 /// Score a graph statistic of an observed network against its
 /// exact-degree-sequence null model: generates the `count`-member mix
 /// ensemble of `cfg.swap_iterations` sweeps under `cfg.seed` and applies
-/// `statistic` to each member.
-///
-/// Panics if mixing fails (a table fault beyond the default recovery);
-/// [`try_mix_ensemble_from_edge_list`] reports it as a typed error.
+/// `statistic` to each member. A mixing failure (a table fault beyond the
+/// default recovery) is a typed error.
 pub fn significance_against_null(
     observed: &EdgeList,
     statistic: impl Fn(&EdgeList) -> f64,
     cfg: &GeneratorConfig,
     count: usize,
-) -> SignificanceReport {
+) -> Result<SignificanceReport, GenError> {
     let obs_value = statistic(observed);
     let mut ws = SwapWorkspace::new();
     crate::configure_workspace(cfg, &mut ws);
@@ -191,12 +168,11 @@ pub fn significance_against_null(
         cfg.seed,
         count,
         &mut ws,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
+    )?
     .iter()
     .map(&statistic)
     .collect();
-    SignificanceReport::from_samples(obs_value, &nulls)
+    Ok(SignificanceReport::from_samples(obs_value, &nulls))
 }
 
 #[cfg(test)]
@@ -211,7 +187,7 @@ mod tests {
     #[test]
     fn ensembles_are_distinct_and_simple() {
         let d = dist(&[(2, 60), (4, 20)]);
-        let graphs = ensemble_from_distribution(&d, &GeneratorConfig::new(1), 4);
+        let graphs = try_ensemble_from_distribution(&d, &GeneratorConfig::new(1), 4).unwrap();
         assert_eq!(graphs.len(), 4);
         for g in &graphs {
             assert!(g.is_simple());
@@ -276,7 +252,8 @@ mod tests {
             |g| Csr::from_edge_list(g).triangle_count() as f64,
             &GeneratorConfig::new(3).with_swap_iterations(8),
             30,
-        );
+        )
+        .unwrap();
         assert!(
             report.z_score > 2.0,
             "clustering should be significant: {report:?}"

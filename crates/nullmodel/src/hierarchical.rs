@@ -9,9 +9,10 @@
 //! `λ = 1 − μ` plus one global layer with `λ = μ`, where `μ` is the mixing
 //! parameter.
 
-use crate::{generate_from_distribution, GeneratorConfig};
+use crate::{try_generate_from_distribution_with_workspace, GenError, GeneratorConfig};
 use graphcore::{DegreeDistribution, Edge, EdgeList};
 use parutil::rng::{mix64, Xoshiro256pp};
+use swap::SwapWorkspace;
 
 /// One level of a layered generation: a disjoint grouping of (a subset of)
 /// the vertices plus the share of each member's degree spent in this layer.
@@ -45,6 +46,15 @@ pub enum LayerError {
         /// The observed λ sum.
         sum: f64,
     },
+    /// Generating one group's subgraph failed.
+    Group {
+        /// Layer of the group.
+        layer: usize,
+        /// Group id within the layer.
+        group: u32,
+        /// The typed failure of the group's pipeline run.
+        error: GenError,
+    },
 }
 
 impl std::fmt::Display for LayerError {
@@ -56,18 +66,27 @@ impl std::fmt::Display for LayerError {
             Self::BadLambda { vertex, sum } => {
                 write!(f, "vertex {vertex}: layer shares sum to {sum}, expected 1")
             }
+            Self::Group {
+                layer,
+                group,
+                error,
+            } => write!(f, "layer {layer} group {group}: {error}"),
         }
     }
 }
 
 impl std::error::Error for LayerError {}
 
-impl From<LayerError> for fault::GenError {
+impl From<LayerError> for GenError {
     /// Layer-specification problems are input problems: map them to
-    /// [`fault::GenError::BadInput`] so the CLI (and any other pipeline
-    /// caller) reports them under the `bad_input` error code.
+    /// [`GenError::BadInput`] so the CLI (and any other pipeline caller)
+    /// reports them under the `bad_input` error code. A group's own
+    /// pipeline failure keeps its typed error.
     fn from(e: LayerError) -> Self {
-        fault::GenError::bad_input(e.to_string())
+        match e {
+            LayerError::Group { error, .. } => error,
+            other => GenError::bad_input(other.to_string()),
+        }
     }
 }
 
@@ -86,7 +105,11 @@ pub struct LayeredGraph {
 /// Generate a layered graph: split each vertex's degree across the layers
 /// by λ (largest-remainder rounding, clamped to `group size − 1` with
 /// overflow pushed to later layers), generate every group independently
-/// with the full pipeline, and union the results.
+/// with the full pipeline, and union the results. Within a group, only
+/// members with a positive share take part, so each share is clamped again
+/// to that member count minus one; the excess counts as lost stubs. A
+/// group whose pipeline run fails ends the whole run with
+/// [`LayerError::Group`].
 pub fn generate_layered(
     degrees: &[u32],
     layers: &[Layer],
@@ -185,6 +208,7 @@ pub fn generate_layered(
 
     // Generate every group of every layer and union the edges.
     let mut all_edges: Vec<Edge> = Vec::new();
+    let mut ws = SwapWorkspace::new();
     for (li, layer) in layers.iter().enumerate() {
         for g in 0..group_sizes[li].len() as u32 {
             // Members with a positive degree share, sorted ascending by
@@ -197,6 +221,13 @@ pub fn generate_layered(
             if members.len() < 2 {
                 lost_stubs += members.iter().map(|&(d, _)| d as u64).sum::<u64>();
                 continue;
+            }
+            // A share needs that many distinct partners among the members
+            // that joined (zero-share vertices sit out).
+            let cap = members.len() as u32 - 1;
+            for m in members.iter_mut().filter(|m| m.0 > cap) {
+                lost_stubs += u64::from(m.0 - cap);
+                m.0 = cap;
             }
             members.sort_unstable();
             // Per-group parity fix: drop one stub from the largest member.
@@ -221,7 +252,12 @@ pub fn generate_layered(
                 seed: sub_seed,
                 ..cfg.clone()
             };
-            let sub = generate_from_distribution(&local_dist, &sub_cfg);
+            let sub = try_generate_from_distribution_with_workspace(&local_dist, &sub_cfg, &mut ws)
+                .map_err(|error| LayerError::Group {
+                    layer: li,
+                    group: g,
+                    error,
+                })?;
             for e in sub.graph.edges() {
                 let gu = members[e.u() as usize].1;
                 let gv = members[e.v() as usize].1;
@@ -457,6 +493,46 @@ mod tests {
             assert!(e.u() < 20 && e.v() < 20);
         }
         assert_eq!(out.lost_stubs, 20);
+    }
+
+    #[test]
+    fn shares_are_clamped_to_the_members_that_join_the_group() {
+        // One group of four, but the two zero-degree vertices sit out: the
+        // group's sub-distribution has two members, so each degree-3 share
+        // can use at most one partner.
+        let degrees = [3u32, 3, 0, 0];
+        let layer = Layer {
+            groups: vec![0; 4],
+            lambda: 1.0,
+        };
+        let out = generate_layered(&degrees, &[layer], &GeneratorConfig::new(1))
+            .expect("clamped shares are servable");
+        assert!(out.graph.is_simple());
+        assert_eq!(out.lost_stubs, 4, "3 + 3 stubs clamp to 1 + 1");
+        for e in out.graph.edges() {
+            assert_eq!((e.u(), e.v()), (0, 1), "only vertices 0 and 1 joined");
+        }
+    }
+
+    #[test]
+    fn a_failing_group_is_a_typed_error() {
+        let degrees = vec![2u32; 80];
+        let groups: Vec<u32> = (0..80).map(|v| v / 40).collect();
+        let layer = Layer {
+            groups,
+            lambda: 1.0,
+        };
+        let cfg = GeneratorConfig::new(1)
+            .with_refine_rounds(3)
+            .with_refine_tolerance(0.0);
+        let err =
+            generate_layered(&degrees, &[layer], &cfg).expect_err("tolerance 0 is unreachable");
+        let LayerError::Group { layer, error, .. } = &err else {
+            panic!("unexpected error: {err}");
+        };
+        assert_eq!(*layer, 0);
+        assert_eq!(error.error_code(), "solver_not_converged");
+        assert_eq!(GenError::from(err).error_code(), "solver_not_converged");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! End-to-end parallel generation of simple, uniformly-random null graph
-//! models — the public API of this workspace and the paper's headline
-//! pipeline (Algorithm IV.1):
+//! End-to-end parallel generation of simple null graph models — the
+//! public API of this workspace and the paper's headline pipeline
+//! (Algorithm IV.1):
 //!
 //! ```text
 //! P  ← GenerateProbabilities({D, N})   // genprob, Section IV-A
@@ -10,29 +10,37 @@
 //!
 //! Two entry points cover the paper's two problems:
 //!
-//! * [`generate_from_distribution`] — problem 2: sample a uniformly-random
-//!   simple graph given only a degree distribution;
-//! * [`generate_from_edge_list`] — problem 1: mix an existing edge list in
-//!   place with double-edge swaps (degree sequence preserved exactly).
+//! * [`try_generate_from_distribution`] — problem 2: generate a simple
+//!   graph given only a degree distribution, then mix it with
+//!   degree-preserving double-edge swaps;
+//! * [`try_generate_from_edge_list`] — problem 1: mix an existing edge list
+//!   in place with double-edge swaps (degree sequence preserved exactly).
 //!
-//! [`uniform_reference`] reproduces the paper's baseline sampler
+//! The swap step is degree-preserving double-edge-swap mixing. Its parallel
+//! sweep is measurably non-uniform on small degree sequences (ROADMAP.md,
+//! item 1), so the outputs are mixed samples, not uniform ones.
+//!
+//! [`try_uniform_reference`] reproduces the paper's baseline sampler
 //! (Havel-Hakimi + many swap iterations, after Milo et al.), and
 //! [`hierarchical`] implements Section VI's LFR-like layered generation.
+//! The `try_` entry points return a typed [`GenError`] rather than
+//! panicking.
 //!
 //! # Quick start
 //!
 //! ```
 //! use graphcore::DegreeDistribution;
-//! use nullmodel::{generate_from_distribution, GeneratorConfig};
+//! use nullmodel::{try_generate_from_distribution, GeneratorConfig};
 //!
 //! // 300 vertices of degree 2, 100 of degree 4, 10 hubs of degree 20.
 //! let dist = DegreeDistribution::from_pairs(vec![(2, 300), (4, 100), (20, 10)]).unwrap();
-//! let out = generate_from_distribution(&dist, &GeneratorConfig::new(42));
+//! let out = try_generate_from_distribution(&dist, &GeneratorConfig::new(42))?;
 //! assert!(out.graph.is_simple());
 //! // The realized edge count matches the target in expectation.
 //! let m = out.graph.len() as f64;
 //! let target = dist.num_edges() as f64;
 //! assert!((m - target).abs() / target < 0.2);
+//! # Ok::<(), nullmodel::GenError>(())
 //! ```
 
 pub mod ensemble;
@@ -41,9 +49,9 @@ pub mod phases;
 pub mod validate;
 
 pub use ensemble::{
-    ensemble_from_distribution, ensemble_member_seed, significance_against_null,
-    try_ensemble_from_distribution, try_mix_ensemble_from_edge_list,
-    try_mix_ensemble_from_edge_list_with_workspace, SignificanceReport,
+    ensemble_member_seed, significance_against_null, try_ensemble_from_distribution,
+    try_mix_ensemble_from_edge_list, try_mix_ensemble_from_edge_list_with_workspace,
+    SignificanceReport,
 };
 pub use fault::GenError;
 pub use hierarchical::{generate_layered, generate_lfr, Layer, LfrConfig, LfrGraph};
@@ -54,9 +62,7 @@ use genprob::SinkhornReport;
 use graphcore::{DegreeDistribution, EdgeList};
 use std::sync::Arc;
 use std::time::Instant;
-use swap::{
-    MixControl, MixingBudget, RecoveryPolicy, StopRule, SwapConfig, SwapStats, SwapWorkspace,
-};
+use swap::{SwapStats, SwapWorkspace};
 
 pub use swap::KeyWidth;
 
@@ -162,7 +168,7 @@ impl Default for GeneratorConfig {
     }
 }
 
-/// Output of [`generate_from_distribution`].
+/// Output of [`try_generate_from_distribution`].
 #[derive(Clone, Debug)]
 pub struct GeneratedGraph {
     /// The generated simple graph.
@@ -179,38 +185,16 @@ pub struct GeneratedGraph {
     pub refine: Option<SinkhornReport>,
 }
 
-/// Generate a uniformly-random simple graph from a degree distribution
-/// (Algorithm IV.1). The output matches the distribution in expectation;
-/// it is always simple.
+/// Generate a simple graph from a degree distribution (Algorithm IV.1):
+/// edge skipping over the §IV-A probabilities, then
+/// `cfg.swap_iterations` sweeps of degree-preserving double-edge-swap
+/// mixing. The output matches the distribution in expectation; it is
+/// always simple.
 ///
-/// Panics on the failure modes [`try_generate_from_distribution`] reports
-/// as typed errors; prefer the `try_*` entry point in code that must
-/// survive bad inputs or mis-sized workspaces.
-pub fn generate_from_distribution(
-    dist: &DegreeDistribution,
-    cfg: &GeneratorConfig,
-) -> GeneratedGraph {
-    generate_from_distribution_with_workspace(dist, cfg, &mut SwapWorkspace::new())
-}
-
-/// As [`generate_from_distribution`], reusing caller-owned swap buffers
-/// (one workspace serves a whole ensemble). Output is byte-identical to the
-/// fresh-workspace entry point.
-pub fn generate_from_distribution_with_workspace(
-    dist: &DegreeDistribution,
-    cfg: &GeneratorConfig,
-    ws: &mut SwapWorkspace,
-) -> GeneratedGraph {
-    match try_generate_from_distribution_with_workspace(dist, cfg, ws) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`generate_from_distribution`]: every failure mode is a typed
-/// [`GenError`] — an unservable degree distribution (`NonGraphical`), a
-/// refinement that misses its requested tolerance (`SolverNotConverged`),
-/// or a table fault the swap recovery could not absorb (`TableFull`).
+/// Every failure mode is a typed [`GenError`] — an unservable degree
+/// distribution (`NonGraphical`), a refinement that misses its requested
+/// tolerance (`SolverNotConverged`), or a table fault the swap recovery
+/// could not absorb (`TableFull`).
 pub fn try_generate_from_distribution(
     dist: &DegreeDistribution,
     cfg: &GeneratorConfig,
@@ -218,7 +202,9 @@ pub fn try_generate_from_distribution(
     try_generate_from_distribution_with_workspace(dist, cfg, &mut SwapWorkspace::new())
 }
 
-/// As [`try_generate_from_distribution`], reusing caller-owned swap buffers.
+/// As [`try_generate_from_distribution`], reusing caller-owned swap buffers
+/// (one workspace serves a whole ensemble). Output is byte-identical to the
+/// fresh-workspace entry point.
 pub fn try_generate_from_distribution_with_workspace(
     dist: &DegreeDistribution,
     cfg: &GeneratorConfig,
@@ -289,11 +275,8 @@ pub fn try_generate_from_distribution_with_workspace(
     timings.edge_generation = t1.elapsed();
 
     let t2 = Instant::now();
-    // Edge skipping emits a simple graph, so there are no violations to
-    // track.
-    let swap_cfg = SwapConfig::new(cfg.swap_iterations, parutil::rng::mix64(cfg.seed ^ 0x5A9));
-    let swap_stats =
-        swap::try_swap_edges_with_workspace(&mut graph, &swap_cfg, ws, &RecoveryPolicy::default())?;
+    let swap_seed = parutil::rng::mix64(cfg.seed ^ 0x5A9);
+    let swap_stats = swap::try_swap_edges(&mut graph, cfg.swap_iterations, swap_seed, ws)?;
     timings.swapping = t2.elapsed();
 
     Ok(GeneratedGraph {
@@ -311,30 +294,10 @@ pub fn try_generate_from_distribution_with_workspace(
 /// is progressively simplified (its per-sweep violation counts are
 /// tracked).
 ///
-/// This is the fixed-sweep run of [`swap::try_mix_resumable`] under
-/// `cfg.seed`, byte for byte: `nullgraph mix`, its checkpointed and
-/// resumed runs, serve jobs and this function share one trajectory.
-pub fn generate_from_edge_list(
-    graph: &mut EdgeList,
-    cfg: &GeneratorConfig,
-) -> (SwapStats, PhaseTimings) {
-    generate_from_edge_list_with_workspace(graph, cfg, &mut SwapWorkspace::new())
-}
-
-/// As [`generate_from_edge_list`], reusing caller-owned swap buffers.
-pub fn generate_from_edge_list_with_workspace(
-    graph: &mut EdgeList,
-    cfg: &GeneratorConfig,
-    ws: &mut SwapWorkspace,
-) -> (SwapStats, PhaseTimings) {
-    match try_generate_from_edge_list_with_workspace(graph, cfg, ws) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`generate_from_edge_list`]: table faults beyond the swap
-/// recovery policy surface as typed errors, with the input edge list left
+/// This is [`swap::try_swap_edges`] under `cfg.seed`, byte for byte:
+/// `nullgraph mix`, its checkpointed and resumed runs, serve jobs and this
+/// function share one trajectory. Table faults beyond the swap recovery
+/// policy surface as typed errors, with the input edge list left
 /// untouched.
 pub fn try_generate_from_edge_list(
     graph: &mut EdgeList,
@@ -352,68 +315,25 @@ pub fn try_generate_from_edge_list_with_workspace(
     let mut timings = PhaseTimings::default();
     configure_workspace(cfg, ws);
     let t = Instant::now();
-    let report = swap::try_mix_resumable(
-        graph,
-        StopRule::FixedSweeps,
-        &MixingBudget::sweeps(cfg.swap_iterations),
-        cfg.seed,
-        &mut MixControl::none(),
-        ws,
-        &RecoveryPolicy::default(),
-    )?;
+    let stats = swap::try_swap_edges(graph, cfg.swap_iterations, cfg.seed, ws)?;
     timings.swapping = t.elapsed();
-    Ok((report.stats, timings))
+    Ok((stats, timings))
 }
 
-/// The paper's uniform-random reference sampler: a Havel-Hakimi realization
-/// followed by `iterations` full swap sweeps (the paper uses 128). Returns
-/// `None` when the distribution is not graphical; for a typed error naming
-/// *why* it is not graphical, use [`try_uniform_reference`].
-pub fn uniform_reference(
-    dist: &DegreeDistribution,
-    iterations: usize,
-    seed: u64,
-) -> Option<EdgeList> {
-    uniform_reference_with_workspace(dist, iterations, seed, &mut SwapWorkspace::new())
-}
-
-/// As [`uniform_reference`], reusing caller-owned swap buffers.
-pub fn uniform_reference_with_workspace(
-    dist: &DegreeDistribution,
-    iterations: usize,
-    seed: u64,
-    ws: &mut SwapWorkspace,
-) -> Option<EdgeList> {
-    try_uniform_reference_with_workspace(dist, iterations, seed, ws).ok()
-}
-
-/// Fallible [`uniform_reference`]: a non-graphical distribution yields
-/// [`GenError::NonGraphical`] with a reason naming the violated condition
-/// (odd stub sum, degree ≥ vertex count, or the Erdős–Gallai inequality).
+/// The paper's reference sampler: a Havel-Hakimi realization followed by
+/// `iterations` full swap sweeps (the paper uses 128). A non-graphical
+/// distribution yields [`GenError::NonGraphical`] with a reason naming the
+/// violated condition (odd stub sum, degree ≥ vertex count, or the
+/// Erdős–Gallai inequality).
 pub fn try_uniform_reference(
     dist: &DegreeDistribution,
     iterations: usize,
     seed: u64,
 ) -> Result<EdgeList, GenError> {
-    try_uniform_reference_with_workspace(dist, iterations, seed, &mut SwapWorkspace::new())
-}
-
-/// As [`try_uniform_reference`], reusing caller-owned swap buffers.
-pub fn try_uniform_reference_with_workspace(
-    dist: &DegreeDistribution,
-    iterations: usize,
-    seed: u64,
-    ws: &mut SwapWorkspace,
-) -> Result<EdgeList, GenError> {
     let Some(mut graph) = generators::havel_hakimi(dist) else {
         return Err(non_graphical(dist));
     };
-    swap::try_swap_edges_with_workspace(
-        &mut graph,
-        &SwapConfig::new(iterations, seed),
-        ws,
-        &RecoveryPolicy::default(),
-    )?;
+    swap::try_swap_edges(&mut graph, iterations, seed, &mut SwapWorkspace::new())?;
     Ok(graph)
 }
 
@@ -462,15 +382,20 @@ fn non_graphical(dist: &DegreeDistribution) -> GenError {
 mod tests {
     use super::*;
     use graphcore::metrics::DistributionComparison;
+    use swap::{MixControl, MixingBudget, RecoveryPolicy, StopRule};
 
     fn dist(pairs: &[(u32, u64)]) -> DegreeDistribution {
         DegreeDistribution::from_pairs(pairs.to_vec()).unwrap()
     }
 
+    fn generate(d: &DegreeDistribution, cfg: &GeneratorConfig) -> GeneratedGraph {
+        try_generate_from_distribution(d, cfg).expect("servable distribution")
+    }
+
     #[test]
     fn pipeline_output_simple_and_close() {
         let d = dist(&[(1, 400), (2, 150), (4, 60), (10, 12), (30, 4)]);
-        let out = generate_from_distribution(&d, &GeneratorConfig::new(1));
+        let out = generate(&d, &GeneratorConfig::new(1));
         assert!(out.graph.is_simple());
         let cmp = DistributionComparison::measure(&out.graph, &d);
         assert!(cmp.edge_count_pct.abs() < 15.0, "{cmp:?}");
@@ -481,9 +406,8 @@ mod tests {
     #[test]
     fn refinement_tightens_expectation() {
         let d = dist(&[(1, 400), (2, 150), (4, 60), (10, 12), (30, 4)]);
-        let plain = generate_from_distribution(&d, &GeneratorConfig::new(5));
-        let refined =
-            generate_from_distribution(&d, &GeneratorConfig::new(5).with_refine_rounds(20));
+        let plain = generate(&d, &GeneratorConfig::new(5));
+        let refined = generate(&d, &GeneratorConfig::new(5).with_refine_rounds(20));
         assert!(refined.probability_residual <= plain.probability_residual + 1e-12);
     }
 
@@ -492,7 +416,7 @@ mod tests {
         let d = dist(&[(2, 100), (4, 30)]);
         let mut g = generators::havel_hakimi(&d).unwrap();
         let before = g.degree_distribution();
-        let (stats, _) = generate_from_edge_list(&mut g, &GeneratorConfig::new(9));
+        let (stats, _) = try_generate_from_edge_list(&mut g, &GeneratorConfig::new(9)).unwrap();
         assert!(g.is_simple());
         assert_eq!(g.degree_distribution(), before);
         assert!(stats.total_successful() > 0);
@@ -526,7 +450,7 @@ mod tests {
     #[test]
     fn uniform_reference_works() {
         let d = dist(&[(1, 40), (2, 20), (3, 10), (5, 2)]);
-        let g = uniform_reference(&d, 16, 3).unwrap();
+        let g = try_uniform_reference(&d, 16, 3).unwrap();
         assert!(g.is_simple());
         assert_eq!(g.degree_distribution(), d);
     }
@@ -536,7 +460,7 @@ mod tests {
         // One vertex of huge degree with too few partners.
         let d = DegreeDistribution::from_pairs(vec![(1, 2), (10, 2)]).unwrap();
         assert!(!d.is_graphical());
-        assert!(uniform_reference(&d, 4, 1).is_none());
+        assert!(try_uniform_reference(&d, 4, 1).is_err());
     }
 
     #[test]
@@ -602,17 +526,17 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let d = dist(&[(2, 50), (4, 25)]);
-        let a = generate_from_distribution(&d, &GeneratorConfig::new(7));
-        let b = generate_from_distribution(&d, &GeneratorConfig::new(7));
+        let a = generate(&d, &GeneratorConfig::new(7));
+        let b = generate(&d, &GeneratorConfig::new(7));
         assert_eq!(a.graph, b.graph);
-        let c = generate_from_distribution(&d, &GeneratorConfig::new(8));
+        let c = generate(&d, &GeneratorConfig::new(8));
         assert_ne!(a.graph, c.graph);
     }
 
     #[test]
     fn timings_populated() {
         let d = dist(&[(2, 200), (6, 50)]);
-        let out = generate_from_distribution(&d, &GeneratorConfig::new(2));
+        let out = generate(&d, &GeneratorConfig::new(2));
         // All phases ran; swap phase dominates per the paper's Fig. 6.
         assert!(out.timings.total() >= out.timings.swapping);
     }
@@ -621,7 +545,7 @@ mod tests {
     fn zero_swap_iterations_still_simple() {
         let d = dist(&[(2, 100), (4, 50)]);
         let cfg = GeneratorConfig::new(3).with_swap_iterations(0);
-        let out = generate_from_distribution(&d, &cfg);
+        let out = generate(&d, &cfg);
         // Edge-skipping alone already guarantees simplicity.
         assert!(out.graph.is_simple());
         assert!(out.swap_stats.iterations.is_empty());

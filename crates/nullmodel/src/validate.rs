@@ -99,7 +99,7 @@ impl std::fmt::Display for ValidationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate_from_distribution, GeneratorConfig};
+    use crate::{try_generate_from_distribution, GeneratorConfig};
 
     #[test]
     fn perfect_realization_passes() {
@@ -139,7 +139,7 @@ mod tests {
     fn pipeline_output_within_tolerance() {
         let d =
             DegreeDistribution::from_pairs(vec![(1, 500), (2, 200), (5, 60), (12, 10)]).unwrap();
-        let out = generate_from_distribution(&d, &GeneratorConfig::new(17));
+        let out = try_generate_from_distribution(&d, &GeneratorConfig::new(17)).unwrap();
         let r = ValidationReport::measure(&out.graph, &d);
         assert!(r.is_simple);
         assert!(r.comparison.edge_count_pct.abs() < 15.0, "report: {r}");

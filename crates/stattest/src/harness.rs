@@ -31,9 +31,10 @@ use swap::SwapWorkspace;
 /// Which sampler a uniformity run drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SamplerKind {
-    /// The real chain: [`swap::swap_edges`] (parallel path).
+    /// The real chain: [`swap::try_swap_edges`] (parallel kernel).
     SwapParallel,
-    /// The serial reference chain: [`swap::swap_edges_serial`].
+    /// The serial reference chain: [`swap::try_swap_edges`] over a
+    /// workspace set to the serial kernel.
     SwapSerial,
     /// Control with a deliberately broken chain: swap sweeps over **fixed**
     /// adjacent pairs, never permuting the edge list. The pairing graph is
@@ -281,6 +282,7 @@ impl SwapUniformityHarness {
                     || {
                         let mut ws = SwapWorkspace::new();
                         ws.set_metrics(metrics.cloned());
+                        ws.set_serial(kind == SamplerKind::SwapSerial);
                         (ws, Vec::new())
                     },
                     |(mut ws, mut acc), trial| {
@@ -330,15 +332,9 @@ impl SwapUniformityHarness {
     fn sample(&self, kind: SamplerKind, sweeps: usize, seed: u64, ws: &mut SwapWorkspace) -> u32 {
         let mut g = self.start.clone();
         match kind {
-            SamplerKind::SwapParallel => {
-                swap::swap_edges_with_workspace(&mut g, &swap::SwapConfig::new(sweeps, seed), ws);
-            }
-            SamplerKind::SwapSerial => {
-                swap::swap_edges_serial_with_workspace(
-                    &mut g,
-                    &swap::SwapConfig::new(sweeps, seed),
-                    ws,
-                );
+            SamplerKind::SwapParallel | SamplerKind::SwapSerial => {
+                swap::try_swap_edges(&mut g, sweeps, seed, ws)
+                    .expect("a workspace of this run's size recovers from any table fault");
             }
             SamplerKind::BiasedNoPermutation => {
                 biased_fixed_pairing_sweeps(&mut g, sweeps, seed);

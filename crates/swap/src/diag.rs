@@ -12,7 +12,8 @@
 //! # Observables
 //!
 //! Each sweep appends one sample to four scalar series (recorded in
-//! [`IterationStats`] when [`crate::SwapConfig::track_diagnostics`] is on):
+//! [`IterationStats`] when the run tracks diagnostics, which a
+//! [`StopRule::Converged`](crate::StopRule::Converged) run does):
 //!
 //! * **degree-product sum** `Σ_{(u,v) ∈ E} d(u)·d(v)` — the unnormalized
 //!   numerator of degree assortativity. Degrees are swap-invariant, so a
@@ -54,8 +55,8 @@ use std::sync::atomic::{AtomicI64, Ordering};
 /// seed) sketches with the same hash.
 const WEDGE_SALT: u64 = 0x57ED_6E5A_17C8_B3D1;
 
-/// The names of the observable series, in the order
-/// [`observable_series`] returns them.
+/// The names of the observable series, in the order the per-sweep
+/// diagnostics ([`MixingDiagnostics::series`]) list them.
 pub const SERIES_NAMES: [&str; 4] = [
     "deg_product_sum",
     "wedge_sketch",
@@ -123,26 +124,20 @@ pub fn geyer_ess(series: &[f64]) -> Option<f64> {
 
 /// The `StopRule::Converged` decision over the full per-sweep stats series
 /// (prior segments included): `true` once the trailing `window` sweeps
-/// exist, every informative observable series reaches `min_ess`, and — for
-/// non-simple input — the last sweep reports zero violations.
+/// exist, every informative observable series reaches `min_ess`, and the
+/// last sweep reports zero violations (a run on simple input does not
+/// track them, so it always reports zero).
 ///
-/// A pure function of `(iterations, min_ess, window, needs_simplify)`, so
-/// interrupt → resume reproduces the identical stopping decision.
-pub(crate) fn converged(
-    iterations: &[IterationStats],
-    min_ess: u32,
-    window: u32,
-    needs_simplify: bool,
-) -> bool {
+/// A pure function of `(iterations, min_ess, window)`, so interrupt →
+/// resume reproduces the identical stopping decision.
+pub(crate) fn converged(iterations: &[IterationStats], min_ess: u32, window: u32) -> bool {
     let w = window as usize;
     if iterations.len() < w {
         return false;
     }
-    if needs_simplify {
-        let last = &iterations[iterations.len() - 1];
-        if last.self_loops > 0 || last.multi_edges > 0 {
-            return false;
-        }
+    let last = &iterations[iterations.len() - 1];
+    if last.self_loops > 0 || last.multi_edges > 0 {
+        return false;
     }
     let tail = &iterations[iterations.len() - w..];
     let mut informative = 0usize;
@@ -159,8 +154,7 @@ pub(crate) fn converged(
 }
 
 /// Incremental accumulators behind the two structural observables,
-/// maintained inside the sweep loop when
-/// [`crate::SwapConfig::track_diagnostics`] is on.
+/// maintained inside the sweep loop when the run tracks diagnostics.
 ///
 /// Built once per `run_until` invocation from the current slots (so a
 /// resumed segment — and a grow-and-retry replay — reconstructs the exact
@@ -416,7 +410,7 @@ mod tests {
     #[test]
     fn converged_needs_a_full_window() {
         let its = stats_with(&[(1.0, 2.0, 0.5, 1); 8]);
-        assert!(!converged(&its, 1, 16, false), "window not filled");
+        assert!(!converged(&its, 1, 16), "window not filled");
     }
 
     #[test]
@@ -425,7 +419,7 @@ mod tests {
         // everywhere, which must read as "not converged", not "trivially
         // converged".
         let its = stats_with(&[(5.0, 7.0, 1.0, 0); 32]);
-        assert!(!converged(&its, 1, 16, false));
+        assert!(!converged(&its, 1, 16));
     }
 
     #[test]
@@ -440,11 +434,11 @@ mod tests {
                 ..Default::default()
             })
             .collect();
-        assert!(converged(&its, 2, 32, false));
+        assert!(converged(&its, 2, 32));
         let mut pending = its;
         pending.last_mut().unwrap().self_loops = 1;
         assert!(
-            !converged(&pending, 2, 32, true),
+            !converged(&pending, 2, 32),
             "violations pending must block the stop"
         );
     }

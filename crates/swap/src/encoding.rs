@@ -48,6 +48,11 @@ pub trait SwapGraph {
 
     /// Mutable edge view; the kernel writes the final edges back here.
     fn edges_mut(&mut self) -> &mut [Self::Edge];
+
+    /// `true` when no edge is a self loop and no key repeats. The driver
+    /// asks only for a run that ends before its first sweep; a sweep reads
+    /// the same answer off the membership table it fills anyway.
+    fn is_simple(&self) -> bool;
 }
 
 impl SwapEdge for Edge {
@@ -88,5 +93,9 @@ impl SwapGraph for EdgeList {
     #[inline]
     fn edges_mut(&mut self) -> &mut [Edge] {
         EdgeList::edges_mut(self)
+    }
+
+    fn is_simple(&self) -> bool {
+        EdgeList::is_simple(self)
     }
 }

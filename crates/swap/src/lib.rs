@@ -2,10 +2,13 @@
 //!
 //! A *double-edge swap* takes two edges `e = {u,v}`, `f = {x,y}` and rewires
 //! them to `{u,x},{v,y}` or `{u,y},{v,x}`. Swaps preserve the degree
-//! sequence exactly; performing many randomly-selected swaps is a Markov
-//! Chain Monte Carlo process whose stationary distribution is uniform over
-//! the simple graphs realizing the degree sequence (Artzy-Randrup & Stone
-//! \[2\], Milo et al. \[22\]).
+//! sequence exactly, so many randomly-selected swaps walk a Markov chain
+//! over the graphs realizing it: degree-preserving double-edge-swap mixing
+//! (Artzy-Randrup & Stone \[2\], Milo et al. \[22\]). The sequential chain,
+//! one swap at a time, samples the simple realizations uniformly. The
+//! parallel sweep below is not that chain: its rejection rule makes the
+//! one-sweep transition matrix asymmetric, and its stationary law is
+//! measurably off uniform on small degree sequences (ROADMAP.md, item 1).
 //!
 //! Each iteration of the parallel algorithm:
 //!
@@ -29,8 +32,10 @@
 //! reduction, so the winner set (and hence the whole run) is a pure
 //! function of `(edge list, seed)`, independent of the rayon pool size.
 //! Because the permutation randomizes pair indices every sweep, no edge is
-//! systematically favored; the `stattest` uniformity harness checks the
-//! resulting chain against the exact uniform distribution.
+//! systematically favored. That does not make the sweep uniform (see
+//! above): the `stattest` harness compares small chains with the exactly
+//! enumerated realizations, and the sequences it runs are too small or
+//! too few trials to see the bias.
 //!
 //! Rejected swaps leave the pair untouched (an MCMC self-transition, which
 //! preserves the chain's symmetry). Conflict rejections are *conservative*:
@@ -42,41 +47,52 @@
 //! replaces it with fresh edges (the paper uses exactly this to "simplify"
 //! `O(m)` Chung-Lu output).
 //!
+//! # One driver
+//!
+//! Every run goes through [`try_mix_resumable`]: a stop rule, a sweep and
+//! wall-clock budget, run-time controls (interrupt flag, checkpoint sink)
+//! and a recovery policy. [`try_swap_edges`] is its fixed-sweep shorthand,
+//! and [`resume_from`] continues a captured [`MixState`]. Nothing about a
+//! run's tracking is configured: violation counts are tracked when the
+//! input has a self loop or a repeated edge, and the convergence
+//! observables when the stop rule needs them.
+//!
 //! # Edge encodings
 //!
 //! The kernel is generic over the edge-key encoding ([`SwapEdge`],
-//! [`SwapGraph`]): the fixed-sweep entry points ([`swap_edges`] and its
-//! `_serial` / `try_` / `_with_workspace` forms) mix an undirected
-//! [`EdgeList`] or a `directed::DiEdgeList` with the same claim/commit
-//! engine, tables and recovery. Checkpointed and converged runs
-//! ([`try_mix_resumable`], [`resume_from`]) are undirected only, because a
-//! [`MixState`] stores undirected edges.
+//! [`SwapGraph`]): the driver mixes an undirected [`EdgeList`] or a
+//! `directed::DiEdgeList` with the same claim/commit engine, tables,
+//! recovery, stop rules and checkpoint sink, and a [`MixState`] holds the
+//! run's own edge type. [`resume_from`] and the `ckpt` format take
+//! undirected states only.
 //!
 //! # Workspace reuse
 //!
-//! All buffers and tables of a run live in a [`SwapWorkspace`]. The
-//! `*_with_workspace` entry points accept one explicitly so that ensembles,
-//! retry loops and statistical harnesses reuse a single set of buffers
-//! across many runs; the plain entry points allocate a fresh workspace and
-//! produce byte-identical results. Once the workspace has grown, a sweep
+//! All buffers and tables of a run live in a [`SwapWorkspace`], which every
+//! entry point takes, so that ensembles, retry loops and statistical
+//! harnesses reuse a single set of buffers across many runs; a fresh
+//! workspace produces byte-identical results. The workspace also carries
+//! the settings that never change the bytes: shard count, key width, and
+//! the serial kernel switch. Once the workspace has grown, a sweep
 //! performs no heap allocation (see `crates/swap/tests/alloc_free.rs`) and
 //! pays only O(changes) for its bookkeeping: the `ever_swapped` mixing
 //! statistic is a relaxed counter bumped on first-swap commits, and the
-//! optional violation counts are maintained incrementally from the edges a
+//! violation counts are maintained incrementally from the edges a
 //! successful swap actually changed instead of re-sorting the edge list.
 //!
 //! # Example
 //!
 //! ```
 //! use graphcore::EdgeList;
-//! use swap::{swap_edges, SwapConfig};
+//! use swap::{try_swap_edges, SwapWorkspace};
 //!
 //! let mut g = EdgeList::from_pairs((0..100).map(|i| (i, (i + 1) % 100)));
 //! let before = g.degree_sequence();
-//! let stats = swap_edges(&mut g, &SwapConfig::new(5, 42));
+//! let stats = try_swap_edges(&mut g, 5, 42, &mut SwapWorkspace::new())?;
 //! assert_eq!(g.degree_sequence(), before);  // degrees preserved exactly
 //! assert!(g.is_simple());                    // simplicity preserved
 //! assert!(stats.total_successful() > 0);
+//! # Ok::<(), swap::GenError>(())
 //! ```
 
 pub mod diag;
@@ -135,43 +151,7 @@ const PF_BATCH: usize = 32;
 /// [`PF_BATCH`]).
 const PAIR_PF_BATCH: usize = 16;
 
-/// Configuration for a swap run.
-#[derive(Clone, Debug)]
-pub struct SwapConfig {
-    /// Number of full permute-and-swap iterations.
-    pub iterations: usize,
-    /// RNG seed; runs are reproducible for a fixed seed and identical to
-    /// the serial reference on **any** rayon pool size (the claim-based
-    /// acceptance is scheduling-independent).
-    pub seed: u64,
-    /// When `true`, each iteration's [`IterationStats`] also counts the
-    /// remaining self loops and multi-edges. Counts are maintained
-    /// incrementally (one multiplicity census at run start, then O(1)
-    /// updates per committed swap); off by default.
-    pub track_violations: bool,
-    /// When `true`, each iteration's [`IterationStats`] also carries the
-    /// convergence-diagnostic observables
-    /// ([`IterationStats::deg_product_sum`] and
-    /// [`IterationStats::wedge_sketch`]). Maintained incrementally (one
-    /// accumulator build at run start, then O(1) wrapping updates per
-    /// committed swap plus one O(n) reduction per sweep); off by default,
-    /// enabled automatically by [`StopRule::Converged`] runs.
-    pub track_diagnostics: bool,
-}
-
 pub use conchash::{KeyWidth, KeyWidthError, ResolvedWidth};
-
-impl SwapConfig {
-    /// `iterations` swap sweeps with the given seed and default options.
-    pub fn new(iterations: usize, seed: u64) -> Self {
-        Self {
-            iterations,
-            seed,
-            track_violations: false,
-            track_diagnostics: false,
-        }
-    }
-}
 
 /// How a run may recover from a full concurrent table.
 ///
@@ -237,119 +217,61 @@ impl MixingBudget {
     }
 }
 
-/// Run parallel double-edge swaps in place. Returns per-iteration statistics.
-///
-/// Panics if a concurrent table faults even after the default
-/// [`RecoveryPolicy`]; prefer [`try_swap_edges`] in code that must survive
-/// mis-sized workspaces.
-pub fn swap_edges<G: SwapGraph>(graph: &mut G, cfg: &SwapConfig) -> SwapStats {
-    swap_edges_with_workspace(graph, cfg, &mut SwapWorkspace::new())
-}
-
-/// As [`swap_edges`], reusing caller-owned buffers. Results are
-/// byte-identical to a run with a fresh workspace.
-pub fn swap_edges_with_workspace<G: SwapGraph>(
-    graph: &mut G,
-    cfg: &SwapConfig,
-    ws: &mut SwapWorkspace<G::Edge>,
-) -> SwapStats {
-    match try_swap_edges_with_workspace(graph, cfg, ws, &RecoveryPolicy::default()) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`swap_edges`]: returns a typed [`GenError`] instead of
-/// panicking when a concurrent table faults beyond recovery.
+/// Fixed-sweep shorthand for [`try_mix_resumable`]: exactly `sweeps`
+/// sweeps under `seed`, with no interrupt, no checkpoints and the default
+/// [`RecoveryPolicy`]. Such a run always completes, so its only errors are
+/// a table fault beyond recovery and a forced key width the vertex ids do
+/// not fit. Callers that need another policy, a deadline or checkpoints
+/// call [`try_mix_resumable`] directly.
 pub fn try_swap_edges<G: SwapGraph>(
     graph: &mut G,
-    cfg: &SwapConfig,
-) -> Result<SwapStats, GenError> {
-    try_swap_edges_with_workspace(
-        graph,
-        cfg,
-        &mut SwapWorkspace::new(),
-        &RecoveryPolicy::default(),
-    )
-}
-
-/// As [`try_swap_edges`], reusing caller-owned buffers under an explicit
-/// recovery policy.
-pub fn try_swap_edges_with_workspace<G: SwapGraph>(
-    graph: &mut G,
-    cfg: &SwapConfig,
+    sweeps: usize,
+    seed: u64,
     ws: &mut SwapWorkspace<G::Edge>,
-    policy: &RecoveryPolicy,
 ) -> Result<SwapStats, GenError> {
-    run_recovering(graph, cfg, true, &|_| false, None, ws, policy, None)
-}
-
-/// Serial reference implementation of the identical algorithm (same darts,
-/// same pair order, same claim semantics). [`swap_edges`] produces
-/// byte-identical output on a rayon pool of any size.
-pub fn swap_edges_serial<G: SwapGraph>(graph: &mut G, cfg: &SwapConfig) -> SwapStats {
-    swap_edges_serial_with_workspace(graph, cfg, &mut SwapWorkspace::new())
-}
-
-/// As [`swap_edges_serial`], reusing caller-owned buffers.
-pub fn swap_edges_serial_with_workspace<G: SwapGraph>(
-    graph: &mut G,
-    cfg: &SwapConfig,
-    ws: &mut SwapWorkspace<G::Edge>,
-) -> SwapStats {
-    match run_recovering(
+    let report = try_mix_resumable(
         graph,
-        cfg,
-        false,
-        &|_| false,
-        None,
+        StopRule::FixedSweeps,
+        &MixingBudget::sweeps(sweeps),
+        seed,
+        &mut MixControl::none(),
         ws,
         &RecoveryPolicy::default(),
-        None,
-    ) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
+    )?;
+    Ok(report.stats)
 }
 
-/// Fallible [`swap_edges_serial`] with caller-owned buffers and an explicit
-/// recovery policy.
-pub fn try_swap_edges_serial_with_workspace<G: SwapGraph>(
-    graph: &mut G,
-    cfg: &SwapConfig,
-    ws: &mut SwapWorkspace<G::Edge>,
-    policy: &RecoveryPolicy,
-) -> Result<SwapStats, GenError> {
-    run_recovering(graph, cfg, false, &|_| false, None, ws, policy, None)
-}
-
-/// Interruptible, checkpointable mixing run.
+/// Interruptible, checkpointable mixing run: the one swap driver.
 ///
-/// Behaves exactly like the non-resumable entry points — byte-identical
-/// trajectory for the same `(graph, stop, budget, seed)` on any rayon pool
-/// size — but additionally honors the [`MixControl`]: the interrupt flag is
-/// drained between sweeps, and intermediate [`MixState`]s are handed to the
-/// checkpoint sink per the [`CheckpointPolicy`]. The report says how the
-/// run ended and, unless it [`MixOutcome::Completed`], carries the state to
-/// continue from (feed it to [`resume_from`], directly or through a
-/// `ckpt_v2` round trip). When the budget runs out first, the graph keeps
-/// every completed sweep (a valid, if under-mixed, degree-preserving
-/// state) and [`MixReport::budget_error`] gives the typed
+/// The trajectory is a pure function of `(graph, stop, budget, seed)`:
+/// byte-identical on any rayon pool size, shard count and key width, on
+/// the serial kernel ([`SwapWorkspace::set_serial`]), and whatever the
+/// [`MixControl`] does. The interrupt flag is drained between sweeps, and
+/// intermediate [`MixState`]s are handed to the checkpoint sink per the
+/// [`CheckpointPolicy`]. The report says how the run ended and, unless it
+/// [`MixOutcome::Completed`], carries the state to continue from (feed an
+/// undirected one to [`resume_from`], directly or through a `ckpt_v2`
+/// round trip). When the budget runs out first, the graph keeps every
+/// completed sweep (a valid, if under-mixed, degree-preserving state) and
+/// [`MixReport::budget_error`] gives the typed
 /// [`GenError::MixingBudgetExceeded`] reporting exactly how far it got.
+///
+/// Tracking is derived, not configured: the per-sweep violation counts
+/// are kept when the input has a self loop or a repeated edge, and the
+/// convergence observables under [`StopRule::Converged`].
 ///
 /// `budget.max_sweeps` is the *absolute* sweep cap of the logical run: a
 /// resumed continuation counts its predecessor's sweeps against the same
 /// cap.
-#[allow(clippy::too_many_arguments)]
-pub fn try_mix_resumable(
-    graph: &mut EdgeList,
+pub fn try_mix_resumable<G: SwapGraph>(
+    graph: &mut G,
     stop: StopRule,
     budget: &MixingBudget,
     seed: u64,
-    ctl: &mut MixControl<'_>,
-    ws: &mut SwapWorkspace,
+    ctl: &mut MixControl<'_, G::Edge>,
+    ws: &mut SwapWorkspace<G::Edge>,
     policy: &RecoveryPolicy,
-) -> Result<MixReport, GenError> {
+) -> Result<MixReport<G::Edge>, GenError> {
     mixing_core(graph, stop, budget, seed, None, ctl, ws, policy)
 }
 
@@ -384,40 +306,29 @@ pub fn resume_from(
     Ok((graph, report))
 }
 
-/// The one mixing-run engine behind [`try_mix_resumable`] and
-/// [`resume_from`]: builds the stop criterion, threads the segment controls
-/// into [`run_until`] via [`run_recovering`], and classifies the ending.
+/// The engine behind [`try_mix_resumable`] and [`resume_from`]: derives
+/// the tracking flags and the stop criterion, runs [`run_until`] under
+/// bounded grow-and-retry recovery, and classifies the ending.
+///
+/// A `TableFull` fault leaves the graph untouched (edges are written back
+/// only after the final sweep), so recovery replays the *whole segment*
+/// from the same seed over larger tables: first up to `policy.max_grows`
+/// 2× grows, then — because a single thread can always make progress — one
+/// serial replay, then a typed [`GenError::TableFull`]. Each recovery step
+/// is recorded in the returned [`SwapStats::events`].
 #[allow(clippy::too_many_arguments)]
-fn mixing_core(
-    graph: &mut EdgeList,
+fn mixing_core<G: SwapGraph>(
+    graph: &mut G,
     stop: StopRule,
     budget: &MixingBudget,
     seed: u64,
-    prior: Option<&MixState>,
-    ctl: &mut MixControl<'_>,
-    ws: &mut SwapWorkspace,
+    prior: Option<&MixState<G::Edge>>,
+    ctl: &mut MixControl<'_, G::Edge>,
+    ws: &mut SwapWorkspace<G::Edge>,
     policy: &RecoveryPolicy,
-) -> Result<MixReport, GenError> {
-    let mut cfg = SwapConfig::new(budget.max_sweeps, seed);
-    // Violation tracking is part of the trajectory-describing config: a
-    // fresh run derives it from the input's simplicity, a resumed run must
-    // keep what it started with (its input may have been simplified since).
-    cfg.track_violations = match prior {
-        Some(st) => st.track_violations,
-        None => !graph.is_simple(),
-    };
-    let needs_simplify = cfg.track_violations;
-    // Diagnostics tracking is likewise trajectory-describing: the converged
-    // rule needs the observable series from sweep 0, and a resumed run must
-    // keep recording whatever its predecessor recorded.
-    cfg.track_diagnostics = match prior {
-        Some(st) => st.track_diagnostics,
-        None => matches!(stop, StopRule::Converged { .. }),
-    };
+) -> Result<MixReport<G::Edge>, GenError> {
     let criterion = move |iterations: &[IterationStats]| match stop {
-        StopRule::Converged { min_ess, window } => {
-            diag::converged(iterations, min_ess, window, needs_simplify)
-        }
+        StopRule::Converged { min_ess, window } => diag::converged(iterations, min_ess, window),
         StopRule::FixedSweeps => false,
     };
     let deadline = budget.max_wall.map(|d| Instant::now() + d);
@@ -430,31 +341,71 @@ fn mixing_core(
             seed,
             sweep_budget: budget.max_sweeps as u64,
             stop,
-            track_violations: cfg.track_violations,
-            track_diagnostics: cfg.track_diagnostics,
+            // Both tracking flags describe the trajectory, so a resumed run
+            // keeps its predecessor's (its input may have been simplified
+            // since). A fresh run tracks violations when its first sweep
+            // finds the input non-simple, and the observable series when
+            // the converged rule needs them from sweep 0.
+            track_violations: prior.map(|st| st.track_violations),
+            track_diagnostics: prior.map_or(matches!(stop, StopRule::Converged { .. }), |st| {
+                st.track_diagnostics
+            }),
         },
         interrupt: ctl.interrupt,
         policy: ctl.policy,
         sink: ctl.sink.as_deref_mut(),
         interrupted: false,
         sink_error: None,
-        final_state: None,
     };
-    let stats = run_recovering(
-        graph,
-        &cfg,
-        true,
-        &criterion,
-        deadline,
-        ws,
-        policy,
-        Some(&mut seg),
-    )?;
+    // Resolve the requested key width against this run's vertex count
+    // before any sweep: `Auto` picks the narrowest packed table layout the
+    // ids fit, while a forced width that cannot hold them is a typed input
+    // error (never a silent truncation).
+    ws.resolve_width_for(graph.num_vertices() as u64)
+        .map_err(|e| GenError::bad_input(e.to_string()))?;
+    let mut events = FaultLog::with_capacity(policy.event_capacity);
+    let mut grows = 0u32;
+    let mut serial = ws.serial;
+    let mut stats = loop {
+        let fault = match run_until(graph, !serial, &criterion, deadline, ws, &mut seg) {
+            Ok(stats) => break stats,
+            Err(fault) => fault,
+        };
+        if grows < policy.max_grows {
+            grows += 1;
+            let new_capacity = ws.grow_tables();
+            if let Some(m) = ws.metrics() {
+                m.swap_grow_retries.incr();
+            }
+            events.push(FaultEvent::TableGrown {
+                table: fault.table,
+                occupancy: fault.occupancy,
+                old_capacity: fault.capacity,
+                new_capacity,
+                attempt: grows,
+            });
+        } else if policy.serial_fallback && !serial {
+            serial = true;
+            if let Some(m) = ws.metrics() {
+                m.swap_serial_fallbacks.incr();
+            }
+            events.push(FaultEvent::SerialFallback { after_grows: grows });
+        } else {
+            return Err(GenError::TableFull {
+                table: fault.table,
+                occupancy: fault.occupancy,
+                capacity: fault.capacity,
+                grows_attempted: grows,
+            });
+        }
+    };
+    if let Some(m) = ws.metrics() {
+        m.fault_events.add(events.total_recorded());
+    }
+    stats.events = events;
     if let Some(e) = seg.sink_error {
         return Err(e);
     }
-    // A graph too small to swap (m < 2) has nothing to mix; treat it as
-    // trivially complete rather than forever over budget.
     let completed_rule = match stop {
         StopRule::Converged { .. } => criterion(&stats.iterations),
         StopRule::FixedSweeps => {
@@ -463,102 +414,33 @@ fn mixing_core(
                 && !seg.interrupted
         }
     };
-    let outcome = if graph.len() < 2 || completed_rule {
+    // A graph too small to swap (m < 2) has nothing to mix; treat it as
+    // trivially complete rather than forever over budget.
+    let outcome = if graph.edges().len() < 2 || completed_rule {
         MixOutcome::Completed
     } else if seg.interrupted {
         MixOutcome::Interrupted
     } else {
         MixOutcome::BudgetExhausted
     };
-    let checkpoint = match outcome {
-        MixOutcome::Completed => None,
-        _ => seg.final_state,
-    };
+    // Only a run that stops short needs a continuation state, stamped from
+    // the final slots the workspace still holds. A run that ended before
+    // its first sweep may not have loaded them, and if it is fresh it has
+    // not measured its input yet.
+    let checkpoint = (outcome != MixOutcome::Completed).then(|| {
+        if stats.iterations.len() as u64 == seg.start_iter {
+            ws.load_slots(graph.edges(), seg.init_swapped);
+            seg.meta
+                .track_violations
+                .get_or_insert_with(|| !graph.is_simple());
+        }
+        seg.meta.state_from_slots(&ws.slots, &stats.iterations)
+    });
     Ok(MixReport {
         stats,
         outcome,
         checkpoint,
     })
-}
-
-/// Bounded grow-and-retry driver around [`run_until`].
-///
-/// A `TableFull` fault leaves the graph untouched (edges are written back
-/// only after the final sweep), so recovery replays the *whole run* from
-/// the same seed over larger tables: first up to `policy.max_grows` 2×
-/// grows, then — because a single thread can always make progress — one
-/// serial replay, then a typed [`GenError::TableFull`]. Each recovery step
-/// is recorded in the returned [`SwapStats::events`].
-#[allow(clippy::too_many_arguments)]
-fn run_recovering<G: SwapGraph>(
-    graph: &mut G,
-    cfg: &SwapConfig,
-    parallel: bool,
-    stop_when: &(dyn Fn(&[IterationStats]) -> bool + Sync),
-    deadline: Option<Instant>,
-    ws: &mut SwapWorkspace<G::Edge>,
-    policy: &RecoveryPolicy,
-    mut seg: Option<&mut SegmentCtl<'_, '_>>,
-) -> Result<SwapStats, GenError> {
-    let mut events = FaultLog::with_capacity(policy.event_capacity);
-    let mut grows = 0u32;
-    let mut degraded = false;
-    // Resolve the requested key width against this run's vertex count
-    // before any sweep: `Auto` picks the narrowest packed table layout the
-    // ids fit, while a forced width that cannot hold them is a typed input
-    // error (never a silent truncation).
-    ws.resolve_width_for(graph.num_vertices() as u64)
-        .map_err(|e| GenError::bad_input(e.to_string()))?;
-    loop {
-        match run_until(
-            graph,
-            cfg,
-            parallel && !degraded,
-            stop_when,
-            deadline,
-            ws,
-            seg.as_deref_mut(),
-        ) {
-            Ok(mut stats) => {
-                if let Some(m) = ws.metrics() {
-                    m.fault_events.add(events.total_recorded());
-                }
-                stats.events = events;
-                return Ok(stats);
-            }
-            Err(fault) => {
-                if grows < policy.max_grows {
-                    grows += 1;
-                    let new_capacity = ws.grow_tables();
-                    if let Some(m) = ws.metrics() {
-                        m.swap_grow_retries.incr();
-                    }
-                    events.push(FaultEvent::TableGrown {
-                        table: fault.table,
-                        occupancy: fault.occupancy,
-                        old_capacity: fault.capacity,
-                        new_capacity,
-                        attempt: grows,
-                    });
-                    continue;
-                }
-                if policy.serial_fallback && parallel && !degraded {
-                    degraded = true;
-                    if let Some(m) = ws.metrics() {
-                        m.swap_serial_fallbacks.incr();
-                    }
-                    events.push(FaultEvent::SerialFallback { after_grows: grows });
-                    continue;
-                }
-                return Err(GenError::TableFull {
-                    table: fault.table,
-                    occupancy: fault.occupancy,
-                    capacity: fault.capacity,
-                    grows_attempted: grows,
-                });
-            }
-        }
-    }
 }
 
 /// Incremental simplicity-violation counters.
@@ -658,61 +540,43 @@ fn register_block<E: SwapEdge>(
     Ok(())
 }
 
-/// One complete swap run: all sweeps, then a single write-back of the final
-/// edges into `graph`. On `Err` (a full concurrent table) **nothing has
-/// been written back** — the graph still holds its input state, which is
-/// what makes the grow-and-retry replay in [`run_recovering`] exact.
+/// One segment of a mixing run: the sweeps over the absolute index range
+/// `seg.start_iter..seg.meta.sweep_budget`, then a single write-back of the
+/// final edges into `graph`. On `Err` (a full concurrent table) **nothing
+/// has been written back** — the graph still holds its input state, which
+/// is what makes the grow-and-retry replay in [`mixing_core`] exact.
 ///
-/// A [`SegmentCtl`] makes the run one *segment* of a resumable trajectory:
-/// sweeps run over the absolute index range `start_iter..cfg.iterations`
-/// (every per-sweep seed derives from the absolute index, so a segment
-/// boundary is invisible to the RNG stream), slot flags and prior per-sweep
+/// Every per-sweep seed derives from the absolute index, so a segment
+/// boundary is invisible to the RNG stream. Slot flags and prior per-sweep
 /// stats are seeded from the previous segment, the interrupt flag is
 /// drained between sweeps, and checkpoints are handed to the sink per the
-/// policy. Segment out-fields are reset on entry, so a grow-and-retry
-/// replay of a faulted attempt stays exact.
+/// policy. Once a sweep has run, the final slots stay in `ws.slots`, where
+/// the driver stamps a continuation state from them when it needs one.
+/// Segment out-fields are reset on entry, so a grow-and-retry replay of a
+/// faulted attempt stays exact.
 fn run_until<G: SwapGraph>(
     graph: &mut G,
-    cfg: &SwapConfig,
     parallel: bool,
-    stop_when: &(dyn Fn(&[IterationStats]) -> bool + Sync),
+    stop_when: &dyn Fn(&[IterationStats]) -> bool,
     deadline: Option<Instant>,
     ws: &mut SwapWorkspace<G::Edge>,
-    mut seg: Option<&mut SegmentCtl<'_, '_>>,
+    seg: &mut SegmentCtl<'_, '_, G::Edge>,
 ) -> Result<SwapStats, TableFullError> {
     let m = graph.edges().len();
+    let start = seg.start_iter;
+    let total = seg.meta.sweep_budget;
+    seg.interrupted = false;
+    seg.sink_error = None;
     let mut stats = SwapStats::default();
-    let start = seg.as_ref().map_or(0, |s| s.start_iter);
-    let total = cfg.iterations as u64;
-    if let Some(s) = seg.as_deref_mut() {
-        s.interrupted = false;
-        s.sink_error = None;
-        s.final_state = None;
-        stats.iterations.extend_from_slice(s.prior);
-    }
+    stats.iterations.extend_from_slice(seg.prior);
     if m < 2 || total <= start {
-        if let Some(s) = seg {
-            // Nothing to run, but the continuation state must still be
-            // well-formed (flags carried over, stats already prepended).
-            let slots: Vec<Slot<G::Edge>> = graph
-                .edges()
-                .iter()
-                .enumerate()
-                .map(|(i, &edge)| Slot {
-                    edge,
-                    swapped: s
-                        .init_swapped
-                        .is_some_and(|f| f.get(i).copied() == Some(true)),
-                })
-                .collect();
-            s.final_state = Some(s.meta.state_from_slots(&slots, &stats.iterations));
-        }
         return Ok(stats);
     }
     stats
         .iterations
         .reserve(((total - start) as usize).min(1 << 12));
     ws.prepare(m);
+    ws.load_slots(graph.edges(), seg.init_swapped);
     let SwapWorkspace {
         slots,
         darts,
@@ -730,33 +594,16 @@ fn run_until<G: SwapGraph>(
     let table: &ShardedEpochHashSet = table.as_ref().expect("prepare populates the table");
     let claims = claims.as_ref().expect("prepare populates the claim map");
     let shard_count = claims.shard_count();
-    slots.clear();
-    match seg.as_ref().and_then(|s| s.init_swapped) {
-        Some(flags) => {
-            debug_assert_eq!(flags.len(), m, "resume flags must match the edge count");
-            slots.extend(
-                graph
-                    .edges()
-                    .iter()
-                    .zip(flags.iter())
-                    .map(|(&edge, &swapped)| Slot { edge, swapped }),
-            );
-        }
-        None => slots.extend(graph.edges().iter().map(|&edge| Slot {
-            edge,
-            swapped: false,
-        })),
-    }
 
-    let violations = cfg
-        .track_violations
-        .then(|| ViolationCounters::census(slots));
+    let mut violations =
+        (seg.meta.track_violations == Some(true)).then(|| ViolationCounters::census(slots));
     // Convergence observables: accumulators are pure functions (mod 2⁶⁴) of
     // the current edge multiset, so building them here makes resumed
     // segments and grow-and-retry replays exact.
-    let diag = cfg
+    let diag = seg
+        .meta
         .track_diagnostics
-        .then(|| diag::DiagAccumulators::new(slots, graph.num_vertices(), cfg.seed));
+        .then(|| diag::DiagAccumulators::new(slots, graph.num_vertices(), seg.meta.seed));
     // Mixing statistic: slots that have ever held a successfully swapped
     // edge. Commits bump the counter for each slot flipping for the first
     // time; every slot flips at most once, so the relaxed sum is exact and
@@ -769,11 +616,9 @@ fn run_until<G: SwapGraph>(
     for iter in start..total {
         // Graceful shutdown: the interrupt flag is drained between sweeps,
         // so the state captured below is always a whole-sweep boundary.
-        if let Some(s) = seg.as_deref_mut() {
-            if s.interrupt.is_some_and(|f| f.load(Ordering::Acquire)) {
-                s.interrupted = true;
-                break;
-            }
+        if seg.interrupt.is_some_and(|f| f.load(Ordering::Acquire)) {
+            seg.interrupted = true;
+            break;
         }
         // Watchdog: the wall-clock deadline is checked between sweeps (a
         // sweep is never interrupted mid-flight, so the edge list stays a
@@ -782,7 +627,7 @@ fn run_until<G: SwapGraph>(
             stats.wall_clock_exceeded = true;
             break;
         }
-        let iter_seed = mix64(cfg.seed ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let iter_seed = mix64(seg.meta.seed ^ iter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         table.clear_shared();
         claims.clear_shared();
 
@@ -799,6 +644,17 @@ fn run_until<G: SwapGraph>(
                     .try_for_each(|block| register_block(table, block))?;
             } else {
                 register_block(table, slots)?;
+            }
+            // A fresh run learns here whether its input is simple, from the
+            // table this first registration filled: a repeated edge leaves
+            // fewer distinct keys than slots. The census is order-free, so
+            // taking it now equals taking it before the sweep.
+            if seg.meta.track_violations.is_none() {
+                let simple = table.len() == m && !slots.iter().any(|s| s.edge.is_self_loop());
+                seg.meta.track_violations = Some(!simple);
+                if !simple {
+                    violations = Some(ViolationCounters::census(slots));
+                }
             }
         }
 
@@ -1050,21 +906,20 @@ fn run_until<G: SwapGraph>(
         // Periodic checkpoint: hand the whole-sweep-boundary state to the
         // sink. A sink failure aborts the run (durability was requested and
         // cannot be provided); the error surfaces through the segment.
-        if let Some(s) = seg.as_deref_mut() {
-            sweeps_since_ckpt += 1;
-            if s.policy
-                .is_some_and(|p| p.due(sweeps_since_ckpt, last_ckpt))
-            {
-                if let Some(sink) = s.sink.as_mut() {
-                    let state = s.meta.state_from_slots(slots, &stats.iterations);
-                    if let Err(e) = sink(&state) {
-                        s.sink_error = Some(e);
-                        break;
-                    }
+        sweeps_since_ckpt += 1;
+        if seg
+            .policy
+            .is_some_and(|p| p.due(sweeps_since_ckpt, last_ckpt))
+        {
+            if let Some(sink) = seg.sink.as_mut() {
+                let state = seg.meta.state_from_slots(slots, &stats.iterations);
+                if let Err(e) = sink(&state) {
+                    seg.sink_error = Some(e);
+                    break;
                 }
-                sweeps_since_ckpt = 0;
-                last_ckpt = Instant::now();
             }
+            sweeps_since_ckpt = 0;
+            last_ckpt = Instant::now();
         }
     }
 
@@ -1074,9 +929,6 @@ fn run_until<G: SwapGraph>(
         .iter_mut()
         .zip(slots.iter())
         .for_each(|(e, s)| *e = s.edge);
-    if let Some(s) = seg {
-        s.final_state = Some(s.meta.state_from_slots(slots, &stats.iterations));
-    }
     Ok(stats)
 }
 
@@ -1091,11 +943,46 @@ mod tests {
         EdgeList::from_pairs((0..n).map(|i| (i, (i + 1) % n)))
     }
 
+    /// [`try_swap_edges`] over a fresh workspace.
+    fn swap(graph: &mut EdgeList, sweeps: usize, seed: u64) -> SwapStats {
+        try_swap_edges(graph, sweeps, seed, &mut SwapWorkspace::new()).expect("fixed-sweep run")
+    }
+
+    /// [`swap`] on the serial kernel.
+    fn swap_serial(graph: &mut EdgeList, sweeps: usize, seed: u64) -> SwapStats {
+        let mut ws = SwapWorkspace::new();
+        ws.set_serial(true);
+        try_swap_edges(graph, sweeps, seed, &mut ws).expect("fixed-sweep run")
+    }
+
+    /// A fixed-sweep [`try_mix_resumable`] run under an explicit recovery
+    /// policy.
+    fn swap_with_policy(
+        graph: &mut EdgeList,
+        sweeps: usize,
+        seed: u64,
+        ws: &mut SwapWorkspace,
+        policy: &RecoveryPolicy,
+    ) -> Result<SwapStats, GenError> {
+        let budget = MixingBudget::sweeps(sweeps);
+        let mut ctl = MixControl::none();
+        let report = try_mix_resumable(
+            graph,
+            StopRule::FixedSweeps,
+            &budget,
+            seed,
+            &mut ctl,
+            ws,
+            policy,
+        )?;
+        Ok(report.stats)
+    }
+
     #[test]
     fn preserves_degree_sequence_exactly() {
         let mut g = ring(100);
         let before = g.degree_sequence();
-        let stats = swap_edges(&mut g, &SwapConfig::new(5, 42));
+        let stats = swap(&mut g, 5, 42);
         assert_eq!(g.degree_sequence(), before);
         assert!(stats.total_successful() > 0, "no swaps happened");
     }
@@ -1103,7 +990,7 @@ mod tests {
     #[test]
     fn preserves_simplicity() {
         let mut g = ring(200);
-        swap_edges(&mut g, &SwapConfig::new(10, 7));
+        swap(&mut g, 10, 7);
         assert!(g.is_simple());
     }
 
@@ -1115,9 +1002,8 @@ mod tests {
             .unwrap();
         let mut a = ring(150);
         let mut b = a.clone();
-        let cfg = SwapConfig::new(4, 99);
-        let sa = pool.install(|| swap_edges(&mut a, &cfg));
-        let sb = swap_edges_serial(&mut b, &cfg);
+        let sa = pool.install(|| swap(&mut a, 4, 99));
+        let sb = swap_serial(&mut b, 4, 99);
         assert_eq!(a, b);
         assert_eq!(sa.total_successful(), sb.total_successful());
     }
@@ -1126,8 +1012,8 @@ mod tests {
     fn deterministic_per_seed_serial() {
         let mut a = ring(100);
         let mut b = ring(100);
-        swap_edges_serial(&mut a, &SwapConfig::new(3, 5));
-        swap_edges_serial(&mut b, &SwapConfig::new(3, 5));
+        swap_serial(&mut a, 3, 5);
+        swap_serial(&mut b, 3, 5);
         assert_eq!(a, b);
     }
 
@@ -1135,7 +1021,7 @@ mod tests {
     fn zero_iterations_no_op() {
         let mut g = ring(10);
         let orig = g.clone();
-        let stats = swap_edges(&mut g, &SwapConfig::new(0, 1));
+        let stats = swap(&mut g, 0, 1);
         assert_eq!(g, orig);
         assert!(stats.iterations.is_empty());
     }
@@ -1144,7 +1030,7 @@ mod tests {
     fn tiny_graphs_no_panic() {
         for n in [0u32, 3, 4] {
             let mut g = if n == 0 { EdgeList::new(0) } else { ring(n) };
-            swap_edges(&mut g, &SwapConfig::new(3, 1));
+            swap(&mut g, 3, 1);
             assert!(g.is_simple());
         }
     }
@@ -1152,7 +1038,7 @@ mod tests {
     #[test]
     fn single_edge_cannot_swap() {
         let mut g = EdgeList::from_pairs([(0, 1)]);
-        let stats = swap_edges(&mut g, &SwapConfig::new(5, 1));
+        let stats = swap(&mut g, 5, 1);
         assert_eq!(stats.total_successful(), 0);
         assert_eq!(g.edges()[0], Edge::new(0, 1));
     }
@@ -1169,9 +1055,9 @@ mod tests {
             before.self_loops + before.multi_edges > 0,
             "fixture should start non-simple"
         );
-        let mut cfg = SwapConfig::new(40, 11);
-        cfg.track_violations = true;
-        let stats = swap_edges(&mut g, &cfg);
+        // Non-simple input: the run tracks its violations without being
+        // asked to.
+        let stats = swap(&mut g, 40, 11);
         let last = stats.iterations.last().unwrap();
         assert_eq!(last.self_loops + last.multi_edges, 0, "not simplified");
         assert!(g.is_simple());
@@ -1183,7 +1069,7 @@ mod tests {
     #[test]
     fn ever_swapped_fraction_monotone() {
         let mut g = ring(500);
-        let stats = swap_edges(&mut g, &SwapConfig::new(8, 13));
+        let stats = swap(&mut g, 8, 13);
         let fracs: Vec<f64> = stats
             .iterations
             .iter()
@@ -1240,9 +1126,11 @@ mod tests {
                 .unwrap();
         let trials = 6000;
         let mut counts: HashMap<Vec<u64>, u64> = HashMap::new();
+        let mut ws = SwapWorkspace::new();
+        ws.set_serial(true);
         for t in 0..trials {
             let mut g = start.clone();
-            swap_edges_serial(&mut g, &SwapConfig::new(12, 0xC0FFEE + t));
+            try_swap_edges(&mut g, 12, 0xC0FFEE + t, &mut ws).unwrap();
             let mut keys: Vec<u64> = g.edges().iter().map(|e| e.key()).collect();
             keys.sort_unstable();
             *counts.entry(keys).or_insert(0) += 1;
@@ -1269,15 +1157,13 @@ mod tests {
 
     #[test]
     fn undersized_workspace_grows_and_recovers_identically() {
-        let cfg = SwapConfig::new(4, 77);
         let mut want = ring(300);
-        swap_edges(&mut want, &cfg);
+        swap(&mut want, 4, 77);
 
         let mut got = ring(300);
         let mut ws = SwapWorkspace::with_table_capacity(64);
         let stats =
-            try_swap_edges_with_workspace(&mut got, &cfg, &mut ws, &RecoveryPolicy::default())
-                .expect("grow-and-retry should recover");
+            try_swap_edges(&mut got, 4, 77, &mut ws).expect("grow-and-retry should recover");
         assert_eq!(got, want, "recovered run must be byte-identical");
         assert!(
             stats
@@ -1293,13 +1179,8 @@ mod tests {
     fn recovery_disabled_reports_table_full_and_leaves_graph_untouched() {
         let mut g = ring(300);
         let mut ws = SwapWorkspace::with_table_capacity(16);
-        let err = try_swap_edges_with_workspace(
-            &mut g,
-            &SwapConfig::new(2, 5),
-            &mut ws,
-            &RecoveryPolicy::none(),
-        )
-        .expect_err("16-key tables cannot hold 300 edges");
+        let err = swap_with_policy(&mut g, 2, 5, &mut ws, &RecoveryPolicy::none())
+            .expect_err("16-key tables cannot hold 300 edges");
         assert_eq!(err.error_code(), "table_full");
         match err {
             GenError::TableFull {
@@ -1432,9 +1313,7 @@ mod tests {
         // and self loops are rejected outright.
         let dist = DegreeDistribution::from_pairs(vec![(1, 60), (2, 30), (30, 4)]).unwrap();
         let mut g = generators::chung_lu_om(&dist, 11);
-        let mut cfg = SwapConfig::new(25, 13);
-        cfg.track_violations = true;
-        let stats = swap_edges(&mut g, &cfg);
+        let stats = swap(&mut g, 25, 13);
         let totals: Vec<u64> = stats
             .iterations
             .iter()
@@ -1622,14 +1501,13 @@ mod tests {
 
     #[test]
     fn fault_log_capacity_honored_by_recovery() {
-        let cfg = SwapConfig::new(4, 77);
         let mut got = ring(300);
         let mut ws = SwapWorkspace::with_table_capacity(16);
         let policy = RecoveryPolicy {
             event_capacity: 1,
             ..RecoveryPolicy::default()
         };
-        let stats = try_swap_edges_with_workspace(&mut got, &cfg, &mut ws, &policy)
+        let stats = swap_with_policy(&mut got, 4, 77, &mut ws, &policy)
             .expect("grow-and-retry should recover");
         assert!(stats.events.len() <= 1);
         assert!(
@@ -1652,7 +1530,7 @@ mod tests {
                 unreachable!("graphical sequences always realize");
             };
             let mut g = start;
-            swap_edges(&mut g, &SwapConfig::new(3, seed));
+            swap(&mut g, 3, seed);
             prop_assert!(g.is_simple());
             prop_assert_eq!(g.degree_sequence(), seq);
         }

@@ -143,7 +143,7 @@ impl Drop for PooledWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{swap_edges_with_workspace, SwapConfig};
+    use crate::try_swap_edges;
     use graphcore::EdgeList;
 
     fn ring(n: u32) -> EdgeList {
@@ -186,21 +186,21 @@ mod tests {
 
     #[test]
     fn pooled_runs_match_fresh_runs() {
-        let cfg = SwapConfig::new(3, 0xFEED);
+        let (sweeps, seed) = (3, 0xFEED);
         let mut fresh = ring(64);
-        swap_edges_with_workspace(&mut fresh, &cfg, &mut SwapWorkspace::new());
+        try_swap_edges(&mut fresh, sweeps, seed, &mut SwapWorkspace::new()).unwrap();
 
         let pool = WorkspacePool::new(2);
         // Warm the pool with a differently-sized run, then reuse.
         {
             let mut ws = pool.acquire();
             let mut warm = ring(200);
-            swap_edges_with_workspace(&mut warm, &cfg, &mut ws);
+            try_swap_edges(&mut warm, sweeps, seed, &mut ws).unwrap();
         }
         let mut ws = pool.acquire();
         assert_eq!(pool.hits(), 1);
         let mut reused = ring(64);
-        swap_edges_with_workspace(&mut reused, &cfg, &mut ws);
+        try_swap_edges(&mut reused, sweeps, seed, &mut ws).unwrap();
         assert_eq!(fresh.edges(), reused.edges());
     }
 }

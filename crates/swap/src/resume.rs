@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 /// When a resumable mixing run stops on its own.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StopRule {
-    /// Run exactly the budget's sweep count (a plain `swap_edges`-style
-    /// run); completing the budget is success.
+    /// Run exactly the budget's sweep count (what [`crate::try_swap_edges`]
+    /// runs); completing the budget is success.
     FixedSweeps,
     /// Stop once the online convergence diagnostics say the chain has
     /// mixed: over the trailing `window` sweeps, every informative scalar
@@ -102,13 +102,17 @@ impl CheckpointPolicy {
 /// this set is sufficient); `ckpt::encode` serializes it verbatim. The
 /// edge and flag vectors are in the run's *current permuted slot order* —
 /// order is part of the trajectory, not an implementation detail.
+///
+/// `E` is the run's edge encoding: a digraph run's states hold its
+/// directed edges, orientation intact. [`crate::resume_from`] and the
+/// `ckpt` format take undirected states only.
 #[derive(Clone, Debug, PartialEq)]
-pub struct MixState {
+pub struct MixState<E = Edge> {
     /// Vertex count of the graph being mixed (edges alone lose trailing
     /// isolated vertices).
     pub num_vertices: usize,
     /// The edge list in current slot order.
-    pub edges: Vec<Edge>,
+    pub edges: Vec<E>,
     /// Per-slot "ever produced by a successful swap" flags, same order.
     pub swapped: Vec<bool>,
     /// Sweeps fully applied so far — the RNG stream position.
@@ -121,7 +125,8 @@ pub struct MixState {
     /// The stop rule the run was started with.
     pub stop: StopRule,
     /// Whether violation tracking was on (it is derived from the input's
-    /// simplicity at start and must not change across a resume).
+    /// simplicity, which the first sweep's registration measures, and must
+    /// not change across a resume).
     pub track_violations: bool,
     /// Whether mixing-diagnostics observables were tracked (derived from
     /// the stop rule at start and, like violation tracking, part of the
@@ -134,7 +139,7 @@ pub struct MixState {
     pub iterations: Vec<IterationStats>,
 }
 
-impl MixState {
+impl<E: SwapEdge> MixState<E> {
     /// Hash of the swap configuration this state belongs to. Stored in the
     /// checkpoint and recomputed on load: resuming under a different seed,
     /// stop rule or tracking mode would silently change the trajectory, so
@@ -173,15 +178,14 @@ impl MixState {
                 self.iterations.len()
             )));
         }
-        if let Some(e) = self
+        if let Some((u, v)) = self
             .edges
             .iter()
-            .find(|e| e.v() as usize >= self.num_vertices)
+            .map(SwapEdge::endpoints)
+            .find(|&(u, v)| u.max(v) as usize >= self.num_vertices)
         {
             return Err(GenError::bad_input(format!(
-                "mix state edge {}-{} exceeds its vertex count {}",
-                e.u(),
-                e.v(),
+                "mix state edge {u}-{v} exceeds its vertex count {}",
                 self.num_vertices
             )));
         }
@@ -221,16 +225,16 @@ pub enum MixOutcome {
 /// segments included), how the run ended, and — for any ending other than
 /// [`MixOutcome::Completed`] — the state to continue from.
 #[derive(Clone, Debug)]
-pub struct MixReport {
+pub struct MixReport<E = Edge> {
     /// Per-sweep statistics of the whole logical run so far.
     pub stats: crate::SwapStats,
     /// How the run ended.
     pub outcome: MixOutcome,
     /// Continuation state; `None` exactly when the run completed.
-    pub checkpoint: Option<MixState>,
+    pub checkpoint: Option<MixState<E>>,
 }
 
-impl MixReport {
+impl<E> MixReport<E> {
     /// The typed budget-exhaustion error matching this report: how many
     /// sweeps ran against which cap, the last mixing statistics, and
     /// whether the wall clock cut the run short.
@@ -248,12 +252,12 @@ impl MixReport {
 }
 
 /// A checkpoint sink: persists a snapshot, or fails the run trying.
-pub type CheckpointSink<'a> = dyn FnMut(&MixState) -> Result<(), GenError> + 'a;
+pub type CheckpointSink<'a, E = Edge> = dyn FnMut(&MixState<E>) -> Result<(), GenError> + 'a;
 
 /// Run-time controls for a resumable run. All fields are optional;
-/// [`MixControl::none`] runs exactly like the non-resumable entry points.
-#[derive(Default)]
-pub struct MixControl<'a> {
+/// [`MixControl::none`] neither interrupts nor checkpoints, and gives the
+/// same bytes as a run with controls that never fire.
+pub struct MixControl<'a, E = Edge> {
     /// Checked between sweeps; when it reads `true` the run drains the
     /// sweep in flight, captures its state and returns
     /// [`MixOutcome::Interrupted`]. The flag is process-global state owned
@@ -265,10 +269,20 @@ pub struct MixControl<'a> {
     /// Persists a snapshot. An `Err` aborts the run and is returned to the
     /// caller (a checkpoint that cannot be written is a hard failure — the
     /// operator asked for durability).
-    pub sink: Option<&'a mut CheckpointSink<'a>>,
+    pub sink: Option<&'a mut CheckpointSink<'a, E>>,
 }
 
-impl MixControl<'_> {
+impl<E> Default for MixControl<'_, E> {
+    fn default() -> Self {
+        Self {
+            interrupt: None,
+            policy: None,
+            sink: None,
+        }
+    }
+}
+
+impl<E> MixControl<'_, E> {
     /// No interruption, no checkpointing.
     pub fn none() -> Self {
         Self::default()
@@ -282,45 +296,41 @@ pub(crate) struct SegmentMeta {
     pub(crate) seed: u64,
     pub(crate) sweep_budget: u64,
     pub(crate) stop: StopRule,
-    pub(crate) track_violations: bool,
+    /// Carried over by a resumed run; for a fresh run `None` until the
+    /// first sweep's registration measures the input's simplicity (or, for
+    /// a run that ends before that sweep, until the driver checks it).
+    pub(crate) track_violations: Option<bool>,
     pub(crate) track_diagnostics: bool,
 }
 
 impl SegmentMeta {
-    /// A [`MixState`] stores undirected edges: only the undirected mixing
-    /// entry points attach a segment to a run, so for them `Edge::new` of
-    /// a slot's endpoints is the slot's own (canonical) edge.
+    /// The state of the run at a whole-sweep boundary: each slot's own
+    /// edge (so a directed state keeps its orientation) and flag.
     pub(crate) fn state_from_slots<E: SwapEdge>(
         &self,
         slots: &[Slot<E>],
         iterations: &[IterationStats],
-    ) -> MixState {
+    ) -> MixState<E> {
         MixState {
             num_vertices: self.num_vertices,
-            edges: slots
-                .iter()
-                .map(|s| {
-                    let (u, v) = s.edge.endpoints();
-                    Edge::new(u, v)
-                })
-                .collect(),
+            edges: slots.iter().map(|s| s.edge).collect(),
             swapped: slots.iter().map(|s| s.swapped).collect(),
             completed_sweeps: iterations.len() as u64,
             seed: self.seed,
             sweep_budget: self.sweep_budget,
             stop: self.stop,
-            track_violations: self.track_violations,
+            track_violations: self.track_violations == Some(true),
             track_diagnostics: self.track_diagnostics,
             iterations: iterations.to_vec(),
         }
     }
 }
 
-/// Mutable plumbing threaded through `run_until` for a resumable segment:
-/// where to start, how to seed the slot flags, what to do between sweeps,
-/// and the out-fields the driver reads back. The out-fields are reset at
-/// the start of every attempt so grow-and-retry replays stay exact.
-pub(crate) struct SegmentCtl<'a, 'b> {
+/// Mutable plumbing threaded through `run_until`: where the segment
+/// starts, how to seed the slot flags, what to do between sweeps, and the
+/// out-fields the driver reads back. The out-fields are reset at the start
+/// of every attempt so grow-and-retry replays stay exact.
+pub(crate) struct SegmentCtl<'a, 'b, E> {
     /// Absolute sweep index to start at (= sweeps already applied).
     pub(crate) start_iter: u64,
     /// Initial per-slot ever-swapped flags (`None` = all false).
@@ -330,13 +340,11 @@ pub(crate) struct SegmentCtl<'a, 'b> {
     pub(crate) meta: SegmentMeta,
     pub(crate) interrupt: Option<&'a AtomicBool>,
     pub(crate) policy: Option<CheckpointPolicy>,
-    pub(crate) sink: Option<&'a mut CheckpointSink<'b>>,
+    pub(crate) sink: Option<&'a mut CheckpointSink<'b, E>>,
     /// Out: the interrupt flag was observed and the run stopped for it.
     pub(crate) interrupted: bool,
     /// Out: the sink failed; the run stopped and this error must surface.
     pub(crate) sink_error: Option<GenError>,
-    /// Out: state at the end of the run (continuation point).
-    pub(crate) final_state: Option<MixState>,
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ pub struct IterationStats {
     /// in *any* iteration so far — the paper's empirical mixing criterion is
     /// this fraction reaching ~1.
     pub ever_swapped_fraction: f64,
-    /// Remaining self loops (only populated when
-    /// [`crate::SwapConfig::track_violations`] is set).
+    /// Remaining self loops (only populated when the run tracks violations,
+    /// which it does when its input is not simple).
     pub self_loops: u64,
     /// Remaining multi-edge extras (only populated when tracking).
     pub multi_edges: u64,
@@ -22,12 +22,13 @@ pub struct IterationStats {
     /// list (the unnormalized numerator of degree assortativity; degrees are
     /// swap-invariant, so the sum moves only when edges rewire). Maintained
     /// incrementally in wrapping integer arithmetic and only populated when
-    /// [`crate::SwapConfig::track_diagnostics`] is set; 0 otherwise.
+    /// the run tracks diagnostics (under `StopRule::Converged`); 0
+    /// otherwise.
     pub deg_product_sum: f64,
     /// Signed wedge sketch `Σ_v W(v)²` where `W(v) = Σ_{u ∈ N(v)} s(u)`
     /// over a seed-derived ±1 vertex hash `s` — a cheap O(changes)-per-swap
     /// proxy for the graph's triangle/wedge structure. Only populated when
-    /// [`crate::SwapConfig::track_diagnostics`] is set; 0 otherwise.
+    /// the run tracks diagnostics; 0 otherwise.
     pub wedge_sketch: f64,
 }
 

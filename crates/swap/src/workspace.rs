@@ -11,12 +11,15 @@
 //! performs **no heap allocation** (asserted by
 //! `crates/swap/tests/alloc_free.rs`).
 //!
-//! Pass a workspace explicitly to [`crate::swap_edges_with_workspace`] (or
-//! its serial / mixing counterparts) when running many swap batches — an
-//! ensemble, a connectivity-retry loop, a statistical harness — so
-//! successive runs share one set of buffers. The plain
-//! [`crate::swap_edges`] entry points create a fresh workspace internally
-//! and remain byte-for-byte equivalent.
+//! Every run takes a workspace ([`crate::try_mix_resumable`], and its
+//! fixed-sweep shorthand [`crate::try_swap_edges`]). Pass the same one to
+//! successive runs — an ensemble, a retry loop, a statistical harness — so
+//! they share one set of buffers; a fresh workspace gives the same bytes.
+//!
+//! A workspace also holds the run settings that never change output
+//! bytes: the table shard count, the table key width, and whether sweeps
+//! take the serial kernel ([`SwapWorkspace::set_serial`]) or the parallel
+//! one.
 //!
 //! A workspace is typed by the edge encoding its runs use
 //! ([`crate::SwapEdge`]): `SwapWorkspace` holds undirected edges, and
@@ -106,6 +109,8 @@ pub struct SwapWorkspace<E = Edge> {
     /// Layout the last run resolved to (`None` before any run). `prepare`
     /// rebuilds the tables when the resolution changes.
     pub(crate) resolved_width: Option<ResolvedWidth>,
+    /// Run sweeps on the serial kernel (see [`SwapWorkspace::set_serial`]).
+    pub(crate) serial: bool,
     /// Capacity the tables were created for (they are rebuilt when a run
     /// exceeds it).
     pub(crate) table_capacity: usize,
@@ -134,6 +139,7 @@ impl<E> Default for SwapWorkspace<E> {
             shards: 0,
             key_width: KeyWidth::default(),
             resolved_width: None,
+            serial: false,
             table_capacity: 0,
             forced_capacity: None,
             metrics: None,
@@ -161,7 +167,8 @@ impl<E: SwapEdge> SwapWorkspace<E> {
     /// edge count guarantees the sweep's registration phase overflows the
     /// table, exercising the grow-and-retry recovery path (or, when
     /// recovery is disabled, a typed `table_full` error). The pin is
-    /// released by [`SwapWorkspace::grow_tables`] doubling it past the need.
+    /// released by the recovery's table grows, which double it past the
+    /// need.
     pub fn with_table_capacity(keys: usize) -> Self {
         let mut ws = Self::new();
         ws.forced_capacity = Some(keys);
@@ -210,6 +217,16 @@ impl<E: SwapEdge> SwapWorkspace<E> {
     /// The requested key width runs over this workspace use.
     pub fn key_width(&self) -> KeyWidth {
         self.key_width
+    }
+
+    /// Run subsequent sweeps on the serial reference kernel (`true`) or the
+    /// parallel one (`false`, the default). Like the shard count and key
+    /// width this never changes output bytes: the serial kernel makes the
+    /// same decisions on the calling thread alone (asserted by
+    /// `tests/thread_scaling.rs`). The grow-and-retry policy falls back to
+    /// it on its own when the tables keep faulting.
+    pub fn set_serial(&mut self, serial: bool) {
+        self.serial = serial;
     }
 
     /// The physical layout the most recent run resolved to, if any.
@@ -300,6 +317,24 @@ impl<E: SwapEdge> SwapWorkspace<E> {
         } else if let (Some(t), Some(c)) = (&self.table, &self.claims) {
             t.clear_shared();
             c.clear_shared();
+        }
+    }
+
+    /// Load a run's edges into the slots, with the ever-swapped flags a
+    /// previous segment carried over (all clear for a fresh run).
+    pub(crate) fn load_slots(&mut self, edges: &[E], flags: Option<&[bool]>) {
+        self.slots.clear();
+        match flags {
+            Some(flags) => {
+                debug_assert_eq!(flags.len(), edges.len(), "flags must match the edges");
+                let slots = edges.iter().zip(flags);
+                self.slots
+                    .extend(slots.map(|(&edge, &swapped)| Slot { edge, swapped }));
+            }
+            None => self.slots.extend(edges.iter().map(|&edge| Slot {
+                edge,
+                swapped: false,
+            })),
         }
     }
 

@@ -8,8 +8,7 @@ use graphcore::EdgeList;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use swap::{swap_edges_serial_with_workspace, swap_edges_with_workspace};
-use swap::{SwapConfig, SwapWorkspace};
+use swap::{try_swap_edges, SwapGraph, SwapWorkspace};
 
 struct CountingAlloc;
 
@@ -48,6 +47,18 @@ fn ring(n: u32) -> EdgeList {
     EdgeList::from_pairs((0..n).map(|i| (i, (i + 1) % n)))
 }
 
+/// A fixed-sweep run over `ws`, on whichever kernel it selects.
+fn run<G: SwapGraph>(graph: &mut G, sweeps: usize, seed: u64, ws: &mut SwapWorkspace<G::Edge>) {
+    try_swap_edges(graph, sweeps, seed, ws).expect("fixed-sweep run");
+}
+
+/// A workspace on the serial kernel.
+fn serial_ws<E: swap::SwapEdge>() -> SwapWorkspace<E> {
+    let mut ws = SwapWorkspace::new();
+    ws.set_serial(true);
+    ws
+}
+
 /// Allocations made by every thread while `f` runs. The parallel path may
 /// allocate on pool threads, so its tests read this count; it also picks
 /// up the test harness's own threads, which is why those tests bound the
@@ -80,18 +91,18 @@ static MEASURE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn serial_sweeps_allocate_nothing_in_steady_state() {
     let _serialized = MEASURE_LOCK.lock().unwrap();
     const N: u32 = 2_000;
-    let mut ws = SwapWorkspace::new();
+    let mut ws = serial_ws();
     // Warm-up grows every buffer and table to the run size.
     let mut warm = ring(N);
-    swap_edges_serial_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     let mut g5 = ring(N);
     let mut g50 = ring(N);
     let a5 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     assert_eq!(
         a5, a50,
@@ -111,15 +122,15 @@ fn parallel_sweeps_allocation_bounded() {
     const N: u32 = 2_000;
     let mut ws = SwapWorkspace::new();
     let mut warm = ring(N);
-    swap_edges_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     let mut g5 = ring(N);
     let mut g50 = ring(N);
     let a5 = allocs_during(|| {
-        swap_edges_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = allocs_during(|| {
-        swap_edges_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     let per_sweep = (a50.saturating_sub(a5)) as f64 / 45.0;
     assert!(
@@ -139,18 +150,18 @@ fn metrics_attached_sweeps_allocate_nothing_in_steady_state() {
     let _serialized = MEASURE_LOCK.lock().unwrap();
     const N: u32 = 2_000;
     let metrics = std::sync::Arc::new(obs::Metrics::default());
-    let mut ws = SwapWorkspace::new();
+    let mut ws = serial_ws();
     ws.set_metrics(Some(metrics.clone()));
     let mut warm = ring(N);
-    swap_edges_serial_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     let mut g5 = ring(N);
     let mut g50 = ring(N);
     let a5 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     assert_eq!(
         a5, a50,
@@ -173,16 +184,17 @@ fn sharded_sweeps_allocate_nothing_in_steady_state() {
     const N: u32 = 2_000;
     for shards in [1usize, 8, 32] {
         let mut ws = SwapWorkspace::with_shards(shards);
+        ws.set_serial(true);
         let mut warm = ring(N);
-        swap_edges_serial_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+        run(&mut warm, 2, 1, &mut ws);
 
         let mut g5 = ring(N);
         let mut g50 = ring(N);
         let a5 = thread_allocs_during(|| {
-            swap_edges_serial_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+            run(&mut g5, 5, 42, &mut ws);
         });
         let a50 = thread_allocs_during(|| {
-            swap_edges_serial_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+            run(&mut g50, 50, 42, &mut ws);
         });
         assert_eq!(
             a5, a50,
@@ -205,15 +217,15 @@ fn sharded_parallel_sweeps_allocation_bounded() {
     const N: u32 = 2_000;
     let mut ws = SwapWorkspace::with_shards(8);
     let mut warm = ring(N);
-    swap_edges_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     let mut g5 = ring(N);
     let mut g50 = ring(N);
     let a5 = allocs_during(|| {
-        swap_edges_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = allocs_during(|| {
-        swap_edges_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     let per_sweep = (a50.saturating_sub(a5)) as f64 / 45.0;
     assert!(
@@ -229,23 +241,23 @@ fn sharded_parallel_sweeps_allocation_bounded() {
 fn reshard_rebuild_is_per_reconfigure_not_per_sweep() {
     let _serialized = MEASURE_LOCK.lock().unwrap();
     const N: u32 = 2_000;
-    let mut ws = SwapWorkspace::new();
+    let mut ws = serial_ws();
     let mut warm = ring(N);
-    swap_edges_serial_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     // Change the shard count: the very next run pays the rebuild...
     ws.set_shards(4);
     let mut rebuilt = ring(N);
-    swap_edges_serial_with_workspace(&mut rebuilt, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut rebuilt, 2, 1, &mut ws);
 
     // ...and runs after it are back to the per-run constant.
     let mut g5 = ring(N);
     let mut g50 = ring(N);
     let a5 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     assert_eq!(
         a5, a50,
@@ -255,29 +267,25 @@ fn reshard_rebuild_is_per_reconfigure_not_per_sweep() {
 }
 
 /// Violation tracking allocates only its one-time census, not per sweep.
+/// The input has a repeated edge and a self loop, so the runs track their
+/// violations without being asked to.
 #[test]
 fn violation_tracking_census_is_per_run_not_per_sweep() {
     let _serialized = MEASURE_LOCK.lock().unwrap();
     let mut edges: Vec<(u32, u32)> = (0..1000).map(|i| (i, (i + 1) % 1000)).collect();
     edges.push((0, 1));
     edges.push((7, 7));
-    let mut ws = SwapWorkspace::new();
+    let mut ws = serial_ws();
     let mut warm = EdgeList::from_pairs(edges.clone());
-    let mut cfg = SwapConfig::new(2, 1);
-    cfg.track_violations = true;
-    swap_edges_serial_with_workspace(&mut warm, &cfg, &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     let mut g5 = EdgeList::from_pairs(edges.clone());
     let mut g50 = EdgeList::from_pairs(edges);
-    let mut cfg5 = SwapConfig::new(5, 42);
-    cfg5.track_violations = true;
-    let mut cfg50 = SwapConfig::new(50, 42);
-    cfg50.track_violations = true;
     let a5 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g5, &cfg5, &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g50, &cfg50, &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     assert_eq!(
         a5, a50,
@@ -300,16 +308,17 @@ fn every_key_width_sweeps_allocation_free_in_steady_state() {
     use swap::KeyWidth;
     for width in [KeyWidth::W32, KeyWidth::W64, KeyWidth::Wide] {
         let mut ws = SwapWorkspace::with_key_width(width);
+        ws.set_serial(true);
         let mut warm = ring(N);
-        swap_edges_serial_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+        run(&mut warm, 2, 1, &mut ws);
 
         let mut g5 = ring(N);
         let mut g50 = ring(N);
         let a5 = thread_allocs_during(|| {
-            swap_edges_serial_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+            run(&mut g5, 5, 42, &mut ws);
         });
         let a50 = thread_allocs_during(|| {
-            swap_edges_serial_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+            run(&mut g50, 50, 42, &mut ws);
         });
         assert_eq!(
             a5, a50,
@@ -331,23 +340,23 @@ fn key_width_switch_rebuild_is_per_reconfigure_not_per_sweep() {
     let _serialized = MEASURE_LOCK.lock().unwrap();
     const N: u32 = 2_000;
     use swap::KeyWidth;
-    let mut ws = SwapWorkspace::new();
+    let mut ws = serial_ws();
     let mut warm = ring(N);
-    swap_edges_serial_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     // Force the wide layout: the very next run pays the rebuild...
     ws.set_key_width(KeyWidth::Wide);
     let mut rebuilt = ring(N);
-    swap_edges_serial_with_workspace(&mut rebuilt, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut rebuilt, 2, 1, &mut ws);
 
     // ...and runs after it are back to the per-run constant.
     let mut g5 = ring(N);
     let mut g50 = ring(N);
     let a5 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     assert_eq!(
         a5, a50,
@@ -373,17 +382,17 @@ fn directed_ring(n: u32) -> directed::DiEdgeList {
 fn directed_sweeps_allocate_nothing_in_steady_state() {
     let _serialized = MEASURE_LOCK.lock().unwrap();
     const N: u32 = 2_000;
-    let mut ws = SwapWorkspace::<directed::DiEdge>::new();
+    let mut ws = serial_ws::<directed::DiEdge>();
     let mut warm = directed_ring(N);
-    swap_edges_serial_with_workspace(&mut warm, &SwapConfig::new(2, 1), &mut ws);
+    run(&mut warm, 2, 1, &mut ws);
 
     let mut g5 = directed_ring(N);
     let mut g50 = directed_ring(N);
     let a5 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let a50 = thread_allocs_during(|| {
-        swap_edges_serial_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     assert_eq!(
         a5, a50,
@@ -395,13 +404,14 @@ fn directed_sweeps_allocate_nothing_in_steady_state() {
         "directed: per-run allocation constant too high: {a5}"
     );
 
+    ws.set_serial(false);
     let mut g5 = directed_ring(N);
     let mut g50 = directed_ring(N);
     let p5 = allocs_during(|| {
-        swap_edges_with_workspace(&mut g5, &SwapConfig::new(5, 42), &mut ws);
+        run(&mut g5, 5, 42, &mut ws);
     });
     let p50 = allocs_during(|| {
-        swap_edges_with_workspace(&mut g50, &SwapConfig::new(50, 42), &mut ws);
+        run(&mut g50, 50, 42, &mut ws);
     });
     let per_sweep = (p50.saturating_sub(p5)) as f64 / 45.0;
     assert!(

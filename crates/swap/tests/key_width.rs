@@ -9,8 +9,8 @@
 use graphcore::{DegreeDistribution, Edge, EdgeList};
 use std::sync::atomic::{AtomicBool, Ordering};
 use swap::{
-    CheckpointPolicy, KeyWidth, MixControl, MixOutcome, MixState, MixingBudget, RecoveryPolicy,
-    ResolvedWidth, StopRule, SwapConfig, SwapWorkspace,
+    try_swap_edges, CheckpointPolicy, KeyWidth, MixControl, MixOutcome, MixState, MixingBudget,
+    RecoveryPolicy, ResolvedWidth, StopRule, SwapWorkspace,
 };
 
 fn dist() -> DegreeDistribution {
@@ -43,11 +43,12 @@ fn serialize(graph: &EdgeList) -> Vec<u8> {
 
 #[test]
 fn sweep_is_byte_identical_across_key_widths_pools_and_shards() {
-    let cfg = SwapConfig::new(8, 0xD1CE);
+    let (sweeps, seed) = (8, 0xD1CE);
     let mut reference = seed_graph();
     let ref_stats = {
         let mut ws = SwapWorkspace::with_key_width(KeyWidth::Wide);
-        swap::swap_edges_serial_with_workspace(&mut reference, &cfg, &mut ws)
+        ws.set_serial(true);
+        try_swap_edges(&mut reference, sweeps, seed, &mut ws).unwrap()
     };
     let want = (serialize(&reference), ref_stats.total_successful());
 
@@ -58,7 +59,7 @@ fn sweep_is_byte_identical_across_key_widths_pools_and_shards() {
                 ws.set_key_width(width);
                 let got = pool(threads).install(|| {
                     let mut g = seed_graph();
-                    let stats = swap::swap_edges_with_workspace(&mut g, &cfg, &mut ws);
+                    let stats = try_swap_edges(&mut g, sweeps, seed, &mut ws).unwrap();
                     (serialize(&g), stats.total_successful())
                 });
                 assert_eq!(
@@ -73,11 +74,10 @@ fn sweep_is_byte_identical_across_key_widths_pools_and_shards() {
 
 #[test]
 fn auto_resolves_the_narrowest_fitting_layout() {
-    let cfg = SwapConfig::new(1, 7);
-
     // 2_000 vertices fit the 32-bit packed layout (n <= 2^13).
     let mut ws = SwapWorkspace::new();
-    swap::swap_edges_serial_with_workspace(&mut ring(2_000), &cfg, &mut ws);
+    ws.set_serial(true);
+    try_swap_edges(&mut ring(2_000), 1, 7, &mut ws).unwrap();
     assert!(
         matches!(
             ws.resolved_key_width(),
@@ -88,7 +88,7 @@ fn auto_resolves_the_narrowest_fitting_layout() {
     );
 
     // 20_000 vertices overflow Packed32 but fit Packed64 (n <= 2^29).
-    swap::swap_edges_serial_with_workspace(&mut ring(20_000), &cfg, &mut ws);
+    try_swap_edges(&mut ring(20_000), 1, 7, &mut ws).unwrap();
     assert!(
         matches!(
             ws.resolved_key_width(),
@@ -100,7 +100,8 @@ fn auto_resolves_the_narrowest_fitting_layout() {
 
     // Forcing wide must actually run the wide layout on a packable graph.
     let mut wide_ws = SwapWorkspace::with_key_width(KeyWidth::Wide);
-    swap::swap_edges_serial_with_workspace(&mut ring(2_000), &cfg, &mut wide_ws);
+    wide_ws.set_serial(true);
+    try_swap_edges(&mut ring(2_000), 1, 7, &mut wide_ws).unwrap();
     assert_eq!(wide_ws.resolved_key_width(), Some(ResolvedWidth::Wide));
 }
 
@@ -108,13 +109,11 @@ fn auto_resolves_the_narrowest_fitting_layout() {
 fn forced_width_that_does_not_fit_is_a_typed_error_not_truncation() {
     // 20_000 vertices need 15-bit ids: twice that plus the tag overflows a
     // 32-bit word, so forcing --key-width 32 must fail before any sweep.
-    let cfg = SwapConfig::new(2, 3);
     let mut graph = ring(20_000);
     let before = serialize(&graph);
     let mut ws = SwapWorkspace::with_key_width(KeyWidth::W32);
-    let err =
-        swap::try_swap_edges_with_workspace(&mut graph, &cfg, &mut ws, &RecoveryPolicy::default())
-            .expect_err("20k vertices cannot fit 32-bit table entries");
+    let err = try_swap_edges(&mut graph, 2, 3, &mut ws)
+        .expect_err("20k vertices cannot fit 32-bit table entries");
     assert_eq!(err.error_code(), "bad_input");
     let msg = err.to_string();
     assert!(
@@ -142,11 +141,10 @@ fn u32_max_vertex_ids_widen_under_auto_and_reject_forced_packing() {
         Edge::new(3, u32::MAX - 4),
     ];
     let n = u32::MAX as usize;
-    let cfg = SwapConfig::new(2, 11);
 
     let mut graph = EdgeList::from_edges(n, edges.clone());
     let mut auto_ws = SwapWorkspace::new();
-    swap::try_swap_edges_with_workspace(&mut graph, &cfg, &mut auto_ws, &RecoveryPolicy::default())
+    try_swap_edges(&mut graph, 2, 11, &mut auto_ws)
         .expect("auto width must fall back to the wide layout");
     assert_eq!(auto_ws.resolved_key_width(), Some(ResolvedWidth::Wide));
     assert_eq!(
@@ -159,13 +157,8 @@ fn u32_max_vertex_ids_widen_under_auto_and_reject_forced_packing() {
     for forced in [KeyWidth::W32, KeyWidth::W64] {
         let mut graph = EdgeList::from_edges(n, vec![Edge::new(0, u32::MAX - 1)]);
         let mut ws = SwapWorkspace::with_key_width(forced);
-        let err = swap::try_swap_edges_with_workspace(
-            &mut graph,
-            &cfg,
-            &mut ws,
-            &RecoveryPolicy::default(),
-        )
-        .expect_err("2^32 vertices cannot fit a packed layout");
+        let err = try_swap_edges(&mut graph, 2, 11, &mut ws)
+            .expect_err("2^32 vertices cannot fit a packed layout");
         assert_eq!(
             err.error_code(),
             "bad_input",

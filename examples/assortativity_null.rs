@@ -13,7 +13,7 @@
 
 use graphcore::analysis::{assortativity, global_clustering};
 use graphcore::{Edge, EdgeList};
-use nullmodel::{significance_against_null, GeneratorConfig};
+use nullmodel::{significance_against_null, GenError, GeneratorConfig};
 use parutil::rng::Xoshiro256pp;
 
 /// Build a deliberately assortative graph: a clique of hubs, rings of
@@ -42,7 +42,7 @@ fn assortative_fixture() -> EdgeList {
     EdgeList::from_edges(next as usize, edges)
 }
 
-fn main() {
+fn main() -> Result<(), GenError> {
     let observed = assortative_fixture();
     println!(
         "observed: n = {}, m = {}, simple = {}",
@@ -54,13 +54,13 @@ fn main() {
     let cfg = GeneratorConfig::new(99).with_swap_iterations(12);
     let ensemble = 25;
 
-    let assort = significance_against_null(&observed, assortativity, &cfg, ensemble);
+    let assort = significance_against_null(&observed, assortativity, &cfg, ensemble)?;
     println!(
         "assortativity: observed {:+.4}, null {:+.4} ± {:.4}, z = {:+.1}, p ≈ {:.3}",
         assort.observed, assort.null_mean, assort.null_sd, assort.z_score, assort.p_value
     );
 
-    let clustering = significance_against_null(&observed, global_clustering, &cfg, ensemble);
+    let clustering = significance_against_null(&observed, global_clustering, &cfg, ensemble)?;
     println!(
         "clustering:    observed {:.4}, null {:.4} ± {:.4}, z = {:+.1}, p ≈ {:.3}",
         clustering.observed,
@@ -76,4 +76,5 @@ fn main() {
     if clustering.z_score > 2.0 {
         println!("=> the observed clustering is significantly above the null model");
     }
+    Ok(())
 }

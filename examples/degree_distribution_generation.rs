@@ -8,9 +8,9 @@
 
 use datasets::Profile;
 use graphcore::metrics::DistributionComparison;
-use nullmodel::{generate_from_distribution, GeneratorConfig};
+use nullmodel::{try_generate_from_distribution, GenError, GeneratorConfig};
 
-fn main() {
+fn main() -> Result<(), GenError> {
     let dist = Profile::As20.distribution(1);
     println!(
         "as20-like target: n = {}, m = {}, d_max = {}, |D| = {}",
@@ -57,7 +57,7 @@ fn main() {
     // This paper: heuristic probabilities + edge-skipping + swaps.
     let mut cmp = Vec::new();
     for s in 0..runs {
-        let g = generate_from_distribution(&dist, &GeneratorConfig::new(s)).graph;
+        let g = try_generate_from_distribution(&dist, &GeneratorConfig::new(s))?.graph;
         cmp.push(DistributionComparison::measure(&g, &dist));
     }
     rows.push(("this paper", cmp, true));
@@ -65,8 +65,9 @@ fn main() {
     // Extension: with Sinkhorn-refined probabilities.
     let mut cmp = Vec::new();
     for s in 0..runs {
-        let g = generate_from_distribution(&dist, &GeneratorConfig::new(s).with_refine_rounds(20))
-            .graph;
+        let g =
+            try_generate_from_distribution(&dist, &GeneratorConfig::new(s).with_refine_rounds(20))?
+                .graph;
         cmp.push(DistributionComparison::measure(&g, &dist));
     }
     rows.push(("this paper + refine", cmp, true));
@@ -80,4 +81,5 @@ fn main() {
     }
     println!();
     println!("(mean absolute % error over {runs} seeds; lower is better)");
+    Ok(())
 }

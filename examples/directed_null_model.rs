@@ -12,7 +12,7 @@ use directed::{
     DiDegreeDistribution, DirectedGeneratorConfig, DirectedSwapConfig,
 };
 
-fn main() {
+fn main() -> Result<(), nullmodel::GenError> {
     // A web-like joint distribution: pure sources (crawler seeds), pure
     // sinks (content pages), balanced middle, and a few reciprocal hubs.
     let dist = DiDegreeDistribution::from_pairs(vec![
@@ -33,7 +33,7 @@ fn main() {
     );
 
     // Problem 2 (directed): generate from the distribution alone.
-    let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(7));
+    let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(7))?;
     println!(
         "pipeline output: m = {} (target {}), simple = {}",
         g.len(),
@@ -59,4 +59,5 @@ fn main() {
         stats.total()
     );
     println!("per-iteration acceptances: {:?}", stats.successes);
+    Ok(())
 }

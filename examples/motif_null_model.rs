@@ -14,9 +14,9 @@
 
 use graphcore::csr::Csr;
 use graphcore::DegreeDistribution;
-use nullmodel::{generate_from_edge_list, generate_lfr, GeneratorConfig, LfrConfig};
+use nullmodel::{generate_lfr, try_generate_from_edge_list, GenError, GeneratorConfig, LfrConfig};
 
-fn main() {
+fn main() -> Result<(), GenError> {
     // 1. Fabricate an "observed" network with real community structure
     //    (LFR with low mixing), which produces many triangles.
     let observed = generate_lfr(&LfrConfig {
@@ -40,17 +40,18 @@ fn main() {
         observed_triangles
     );
 
-    // 2. Null ensemble: uniformly mix copies of the observed edge list
-    //    (problem 1 of the paper) — the degree sequence is preserved
-    //    exactly, all structure beyond it is destroyed.
+    // 2. Null ensemble: mix copies of the observed edge list with
+    //    degree-preserving double-edge swaps (problem 1 of the paper) —
+    //    the degree sequence is preserved exactly, structure beyond it is
+    //    mixed away.
     let ensemble = 20;
     let mut counts = Vec::with_capacity(ensemble);
     for s in 0..ensemble as u64 {
         let mut null = observed.clone();
-        generate_from_edge_list(
+        try_generate_from_edge_list(
             &mut null,
             &GeneratorConfig::new(1000 + s).with_swap_iterations(12),
-        );
+        )?;
         let t = Csr::from_edge_list(&null).triangle_count();
         counts.push(t as f64);
     }
@@ -67,4 +68,5 @@ fn main() {
     } else {
         println!("=> no significant triangle enrichment (z <= 3)");
     }
+    Ok(())
 }

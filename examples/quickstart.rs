@@ -1,14 +1,14 @@
-//! Quickstart: generate a uniformly-random simple graph from a degree
-//! distribution and validate the output.
+//! Quickstart: generate a simple graph from a degree distribution, mixed
+//! by degree-preserving double-edge swaps, and validate the output.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use graphcore::DegreeDistribution;
-use nullmodel::{generate_from_distribution, GeneratorConfig, ValidationReport};
+use nullmodel::{try_generate_from_distribution, GenError, GeneratorConfig, ValidationReport};
 
-fn main() {
+fn main() -> Result<(), GenError> {
     // A small skewed degree distribution: a heavy low-degree base, a few
     // mid-degree vertices, two hubs.
     let dist = DegreeDistribution::from_pairs(vec![
@@ -30,7 +30,7 @@ fn main() {
     );
 
     let cfg = GeneratorConfig::new(42).with_swap_iterations(10);
-    let out = generate_from_distribution(&dist, &cfg);
+    let out = try_generate_from_distribution(&dist, &cfg)?;
 
     println!(
         "generated: m = {}, simple = {}",
@@ -59,4 +59,5 @@ fn main() {
     println!("target degrees — every expectation-matching generator (including the");
     println!("paper's O(m) baseline) shows it; edge count and d_max are the paper's");
     println!("headline accuracy measures (Fig. 3).");
+    Ok(())
 }

@@ -3,7 +3,7 @@
 //! independent of the rayon pool size wherever the design promises it.
 
 use graphcore::DegreeDistribution;
-use nullmodel::{generate_from_distribution, generate_lfr, GeneratorConfig, LfrConfig};
+use nullmodel::{generate_lfr, try_generate_from_distribution, GeneratorConfig, LfrConfig};
 
 fn dist() -> DegreeDistribution {
     DegreeDistribution::from_pairs(vec![(1, 300), (2, 120), (4, 40), (9, 8), (20, 2)]).unwrap()
@@ -11,8 +11,8 @@ fn dist() -> DegreeDistribution {
 
 #[test]
 fn pipeline_same_seed_same_graph() {
-    let a = generate_from_distribution(&dist(), &GeneratorConfig::new(123));
-    let b = generate_from_distribution(&dist(), &GeneratorConfig::new(123));
+    let a = try_generate_from_distribution(&dist(), &GeneratorConfig::new(123)).unwrap();
+    let b = try_generate_from_distribution(&dist(), &GeneratorConfig::new(123)).unwrap();
     assert_eq!(a.graph, b.graph);
     assert_eq!(
         a.swap_stats.total_successful(),
@@ -22,8 +22,8 @@ fn pipeline_same_seed_same_graph() {
 
 #[test]
 fn pipeline_different_seed_different_graph() {
-    let a = generate_from_distribution(&dist(), &GeneratorConfig::new(123));
-    let b = generate_from_distribution(&dist(), &GeneratorConfig::new(124));
+    let a = try_generate_from_distribution(&dist(), &GeneratorConfig::new(123)).unwrap();
+    let b = try_generate_from_distribution(&dist(), &GeneratorConfig::new(124)).unwrap();
     assert_ne!(a.graph, b.graph);
 }
 
@@ -106,7 +106,8 @@ fn swap_chain_identical_across_pools() {
             .unwrap();
         pool.install(|| {
             let mut g = generators::havel_hakimi(&dist()).unwrap();
-            let stats = swap::swap_edges(&mut g, &swap::SwapConfig::new(6, 2024));
+            let stats =
+                swap::try_swap_edges(&mut g, 6, 2024, &mut swap::SwapWorkspace::new()).unwrap();
             (g, stats.total_successful())
         })
     };
@@ -118,7 +119,9 @@ fn swap_chain_identical_across_pools() {
     assert_eq!((s1, s2), (s2, s8), "accepted-swap counts differ");
     // And the parallel result equals the serial reference outright.
     let mut serial = generators::havel_hakimi(&dist()).unwrap();
-    swap::swap_edges_serial(&mut serial, &swap::SwapConfig::new(6, 2024));
+    let mut ws = swap::SwapWorkspace::new();
+    ws.set_serial(true);
+    swap::try_swap_edges(&mut serial, 6, 2024, &mut ws).unwrap();
     assert_eq!(g1, serial);
 }
 
@@ -132,7 +135,11 @@ fn full_pipeline_identical_across_pools() {
             .num_threads(threads)
             .build()
             .unwrap();
-        pool.install(|| generate_from_distribution(&dist(), &GeneratorConfig::new(123)).graph)
+        pool.install(|| {
+            try_generate_from_distribution(&dist(), &GeneratorConfig::new(123))
+                .unwrap()
+                .graph
+        })
     };
     let g1 = run_on(1);
     let g2 = run_on(2);

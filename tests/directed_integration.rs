@@ -26,7 +26,8 @@ fn directed_pipeline_matches_in_expectation() {
     let runs = 6;
     let mut mean_m = 0.0;
     for s in 0..runs {
-        let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(s));
+        let g =
+            generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(s)).unwrap();
         assert!(g.is_simple());
         mean_m += g.len() as f64 / runs as f64;
     }
@@ -85,7 +86,7 @@ fn directed_io_round_trip_through_pipeline() {
     let path = dir.join("digraph.txt");
 
     let dist = skewed_joint();
-    let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(5));
+    let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(5)).unwrap();
     dio::save_diedge_list(&g, &path).unwrap();
     let back = dio::load_diedge_list(&path).unwrap();
     assert_eq!(back.edges(), g.edges());
@@ -98,7 +99,7 @@ fn antiparallel_edges_survive_simplicity() {
     // Directed simplicity allows antiparallel pairs; the pipeline must not
     // destroy them artificially.
     let dist = DiDegreeDistribution::from_pairs(vec![((2, 2), 40)]).unwrap();
-    let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(11));
+    let g = generate_directed_from_distribution(&dist, &DirectedGeneratorConfig::new(11)).unwrap();
     assert!(g.is_simple());
     let r = reciprocity(&g);
     // Random digraphs at this density have some (small) reciprocity.

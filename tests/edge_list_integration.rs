@@ -1,8 +1,8 @@
-//! Problem 1 integration: uniformly mixing existing edge lists, including
+//! Problem 1 integration: mixing existing edge lists, including
 //! IO round trips and non-simple inputs.
 
 use graphcore::{io, DegreeDistribution, EdgeList};
-use nullmodel::{generate_from_edge_list, GeneratorConfig};
+use nullmodel::{try_generate_from_edge_list, GeneratorConfig};
 
 fn as20_like() -> DegreeDistribution {
     datasets::Profile::As20.distribution(4)
@@ -13,7 +13,7 @@ fn mixing_preserves_degree_sequence_exactly() {
     let dist = as20_like();
     let mut g = generators::havel_hakimi(&dist).unwrap();
     let before = g.degree_sequence();
-    let (stats, _) = generate_from_edge_list(&mut g, &GeneratorConfig::new(1));
+    let (stats, _) = try_generate_from_edge_list(&mut g, &GeneratorConfig::new(1)).unwrap();
     assert_eq!(g.degree_sequence(), before);
     assert!(g.is_simple());
     assert!(stats.total_successful() > 0);
@@ -24,7 +24,7 @@ fn mixing_actually_changes_the_graph() {
     let dist = as20_like();
     let original = generators::havel_hakimi(&dist).unwrap();
     let mut g = original.clone();
-    generate_from_edge_list(&mut g, &GeneratorConfig::new(2));
+    try_generate_from_edge_list(&mut g, &GeneratorConfig::new(2)).unwrap();
     assert_ne!(g, original, "ten swap iterations must rewire something");
 }
 
@@ -41,7 +41,7 @@ fn multigraph_input_gets_simplified() {
         .map(|seed| {
             let mut g = start.clone();
             let cfg = GeneratorConfig::new(seed).with_swap_iterations(64);
-            let (stats, _) = generate_from_edge_list(&mut g, &cfg);
+            let (stats, _) = try_generate_from_edge_list(&mut g, &cfg).unwrap();
             assert!(g.is_simple(), "seed {seed}: not simplified after 64 sweeps");
             stats
                 .iterations_to_simple()
@@ -61,7 +61,7 @@ fn configuration_model_input() {
     let dist = as20_like();
     let mut g = generators::configuration_model(&dist, 12);
     let degrees = g.degree_sequence();
-    generate_from_edge_list(&mut g, &GeneratorConfig::new(3).with_swap_iterations(25));
+    try_generate_from_edge_list(&mut g, &GeneratorConfig::new(3).with_swap_iterations(25)).unwrap();
     assert_eq!(g.degree_sequence(), degrees);
     assert!(g.is_simple());
 }
@@ -78,7 +78,7 @@ fn io_round_trip_then_mix() {
     let mut loaded = io::load_edge_list(&path).unwrap();
     assert_eq!(loaded.len(), g.len());
 
-    generate_from_edge_list(&mut loaded, &GeneratorConfig::new(4));
+    try_generate_from_edge_list(&mut loaded, &GeneratorConfig::new(4)).unwrap();
     assert!(loaded.is_simple());
     assert_eq!(loaded.degree_distribution(), dist);
     std::fs::remove_dir_all(&dir).ok();
@@ -94,7 +94,7 @@ fn mixing_changes_attachment_statistics_toward_uniform() {
     let reference = {
         let mats: Vec<AttachmentMatrix> = (0..6)
             .map(|s| {
-                let g = nullmodel::uniform_reference(&dist, 20, 1000 + s).unwrap();
+                let g = nullmodel::try_uniform_reference(&dist, 20, 1000 + s).unwrap();
                 AttachmentMatrix::from_graph(&g)
             })
             .collect();
@@ -103,10 +103,11 @@ fn mixing_changes_attachment_statistics_toward_uniform() {
     let hh = generators::havel_hakimi(&dist).unwrap();
     let before = AttachmentMatrix::from_graph(&hh).l1_diff(&reference);
     let mut mixed = hh.clone();
-    generate_from_edge_list(
+    try_generate_from_edge_list(
         &mut mixed,
         &GeneratorConfig::new(5).with_swap_iterations(15),
-    );
+    )
+    .unwrap();
     let after = AttachmentMatrix::from_graph(&mixed).l1_diff(&reference);
     assert!(
         after < before,
@@ -117,10 +118,10 @@ fn mixing_changes_attachment_statistics_toward_uniform() {
 #[test]
 fn empty_and_tiny_inputs() {
     let mut empty = EdgeList::new(10);
-    let (stats, _) = generate_from_edge_list(&mut empty, &GeneratorConfig::new(1));
+    let (stats, _) = try_generate_from_edge_list(&mut empty, &GeneratorConfig::new(1)).unwrap();
     assert_eq!(stats.total_successful(), 0);
 
     let mut single = EdgeList::from_pairs([(0, 1)]);
-    generate_from_edge_list(&mut single, &GeneratorConfig::new(1));
+    try_generate_from_edge_list(&mut single, &GeneratorConfig::new(1)).unwrap();
     assert_eq!(single.len(), 1);
 }

@@ -5,13 +5,13 @@ use datasets::Profile;
 use graphcore::analysis::{assortativity, global_clustering};
 use graphcore::csr::Csr;
 use nullmodel::{
-    ensemble_from_distribution, significance_against_null, GeneratorConfig, SignificanceReport,
+    significance_against_null, try_ensemble_from_distribution, GeneratorConfig, SignificanceReport,
 };
 
 #[test]
 fn profile_ensemble_statistics_stable() {
     let dist = Profile::Meso.distribution(2);
-    let graphs = ensemble_from_distribution(&dist, &GeneratorConfig::new(4), 6);
+    let graphs = try_ensemble_from_distribution(&dist, &GeneratorConfig::new(4), 6).unwrap();
     assert_eq!(graphs.len(), 6);
     // Edge counts concentrate around the target.
     let target = dist.num_edges() as f64;
@@ -45,7 +45,8 @@ fn lfr_graph_has_significant_clustering() {
         |g| Csr::from_edge_list(g).triangle_count() as f64,
         &GeneratorConfig::new(21).with_swap_iterations(8),
         15,
-    );
+    )
+    .unwrap();
     assert!(report.z_score > 3.0, "{report:?}");
 }
 
@@ -54,13 +55,14 @@ fn null_model_statistics_centered() {
     // A graph that *is* a null sample should not test significant against
     // its own null ensemble.
     let dist = graphcore::DegreeDistribution::from_pairs(vec![(3, 200), (6, 60)]).unwrap();
-    let sample = nullmodel::uniform_reference(&dist, 20, 5).unwrap();
+    let sample = nullmodel::try_uniform_reference(&dist, 20, 5).unwrap();
     let report = significance_against_null(
         &sample,
         assortativity,
         &GeneratorConfig::new(31).with_swap_iterations(10),
         20,
-    );
+    )
+    .unwrap();
     assert!(
         report.z_score.abs() < 3.5,
         "null sample tested significant: {report:?}"
@@ -85,7 +87,7 @@ fn clustering_of_null_models_is_low() {
     // Degree-sequence null models of sparse skewed graphs have tiny
     // clustering — the reason observed clustering is interesting at all.
     let dist = Profile::Meso.distribution(2);
-    let graphs = ensemble_from_distribution(&dist, &GeneratorConfig::new(17), 4);
+    let graphs = try_ensemble_from_distribution(&dist, &GeneratorConfig::new(17), 4).unwrap();
     for g in graphs {
         let c = global_clustering(&g);
         assert!(c < 0.2, "null clustering unexpectedly high: {c}");

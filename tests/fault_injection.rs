@@ -13,8 +13,7 @@ use graphcore::io::{read_edge_list, ParseError};
 use graphcore::{DegreeDistribution, EdgeList};
 use nullmodel::{try_generate_from_edge_list_with_workspace, GeneratorConfig};
 use swap::{
-    try_swap_edges_with_workspace, MixControl, MixOutcome, MixingBudget, RecoveryPolicy, StopRule,
-    SwapConfig, SwapStats, SwapWorkspace,
+    MixControl, MixOutcome, MixingBudget, RecoveryPolicy, StopRule, SwapStats, SwapWorkspace,
 };
 
 /// A ring of `n` vertices: every vertex has degree 2, every swap is legal.
@@ -79,17 +78,26 @@ fn serialize(graph: &EdgeList) -> Vec<u8> {
     buf
 }
 
+/// Four fixed sweeps of `graph` under the plan's workspace and recovery
+/// policy.
+fn swap_under(plan: &FaultPlan, graph: &mut EdgeList, seed: u64) -> Result<SwapStats, GenError> {
+    let report = swap::try_mix_resumable(
+        graph,
+        StopRule::FixedSweeps,
+        &MixingBudget::sweeps(4),
+        seed,
+        &mut MixControl::none(),
+        &mut workspace_for(plan),
+        &policy_for(plan),
+    )?;
+    Ok(report.stats)
+}
+
 /// Run one plan against the swap kernel and return the mixed graph's bytes
 /// (when it succeeded) or the typed error.
 fn run_plan(plan: &FaultPlan, seed: u64) -> Result<(Vec<u8>, FaultLog), GenError> {
     let mut graph = ring(300);
-    let mut ws = workspace_for(plan);
-    let stats = try_swap_edges_with_workspace(
-        &mut graph,
-        &SwapConfig::new(4, seed),
-        &mut ws,
-        &policy_for(plan),
-    )?;
+    let stats = swap_under(plan, &mut graph, seed)?;
     Ok((serialize(&graph), stats.events))
 }
 
@@ -163,12 +171,7 @@ fn undersized_tables_without_recovery_fail_typed() {
     // The failed run must leave the graph untouched.
     let mut graph = ring(300);
     let pristine = serialize(&graph);
-    let _ = try_swap_edges_with_workspace(
-        &mut graph,
-        &SwapConfig::new(4, 7),
-        &mut workspace_for(&plan),
-        &policy_for(&plan),
-    );
+    let _ = swap_under(&plan, &mut graph, 7);
     assert_eq!(serialize(&graph), pristine, "failed run mutated the graph");
 }
 

@@ -4,12 +4,12 @@
 use datasets::Profile;
 use graphcore::metrics::DistributionComparison;
 use graphcore::DegreeDistribution;
-use nullmodel::{generate_from_distribution, GeneratorConfig, ValidationReport};
+use nullmodel::{try_generate_from_distribution, GeneratorConfig, ValidationReport};
 
 #[test]
 fn meso_profile_full_scale() {
     let dist = Profile::Meso.distribution(1);
-    let out = generate_from_distribution(&dist, &GeneratorConfig::new(1));
+    let out = try_generate_from_distribution(&dist, &GeneratorConfig::new(1)).unwrap();
     let report = ValidationReport::measure(&out.graph, &dist);
     assert!(report.is_simple);
     assert!(
@@ -25,7 +25,7 @@ fn meso_profile_full_scale() {
 #[test]
 fn as20_profile_full_scale() {
     let dist = Profile::As20.distribution(1);
-    let out = generate_from_distribution(&dist, &GeneratorConfig::new(2));
+    let out = try_generate_from_distribution(&dist, &GeneratorConfig::new(2)).unwrap();
     let report = ValidationReport::measure(&out.graph, &dist);
     assert!(report.is_simple);
     assert!(
@@ -42,7 +42,8 @@ fn ensemble_mean_edge_count_tight() {
     let runs = 8;
     let mean: f64 = (0..runs)
         .map(|s| {
-            generate_from_distribution(&dist, &GeneratorConfig::new(s))
+            try_generate_from_distribution(&dist, &GeneratorConfig::new(s))
+                .unwrap()
                 .graph
                 .len() as f64
         })
@@ -63,7 +64,9 @@ fn our_method_beats_erased_on_max_degree() {
     let mut ours = Vec::new();
     let mut erased = Vec::new();
     for s in 0..runs {
-        let g = generate_from_distribution(&dist, &GeneratorConfig::new(s)).graph;
+        let g = try_generate_from_distribution(&dist, &GeneratorConfig::new(s))
+            .unwrap()
+            .graph;
         ours.push(DistributionComparison::measure(&g, &dist));
         let (e, _) = generators::erased_chung_lu(&dist, s);
         erased.push(DistributionComparison::measure(&e, &dist));
@@ -96,16 +99,19 @@ fn all_generators_on_skewed_profile() {
     assert!(hh.is_simple());
     assert_eq!(hh.degree_distribution(), dist);
 
-    let ours = generate_from_distribution(&dist, &GeneratorConfig::new(seed)).graph;
+    let ours = try_generate_from_distribution(&dist, &GeneratorConfig::new(seed))
+        .unwrap()
+        .graph;
     assert!(ours.is_simple());
 }
 
 #[test]
 fn refined_probabilities_improve_expectation_on_profile() {
     let dist = Profile::Meso.distribution(1);
-    let plain = generate_from_distribution(&dist, &GeneratorConfig::new(4));
+    let plain = try_generate_from_distribution(&dist, &GeneratorConfig::new(4)).unwrap();
     let refined =
-        generate_from_distribution(&dist, &GeneratorConfig::new(4).with_refine_rounds(25));
+        try_generate_from_distribution(&dist, &GeneratorConfig::new(4).with_refine_rounds(25))
+            .unwrap();
     assert!(refined.probability_residual <= plain.probability_residual + 1e-12);
     assert!(refined.graph.is_simple());
 }
@@ -115,7 +121,9 @@ fn scaled_large_profile_runs() {
     // A scaled-down LiveJournal exercise of the whole pipeline at tens of
     // thousands of edges.
     let dist = Profile::LiveJournal.distribution(1000);
-    let out = generate_from_distribution(&dist, &GeneratorConfig::new(5).with_swap_iterations(3));
+    let out =
+        try_generate_from_distribution(&dist, &GeneratorConfig::new(5).with_swap_iterations(3))
+            .unwrap();
     assert!(out.graph.is_simple());
     let target = dist.num_edges() as f64;
     let got = out.graph.len() as f64;
@@ -126,7 +134,7 @@ fn scaled_large_profile_runs() {
 fn dense_distribution_handled() {
     // High average degree relative to n stresses the caps in §IV-A.
     let dist = DegreeDistribution::from_pairs(vec![(8, 40), (12, 20), (19, 4)]).unwrap();
-    let out = generate_from_distribution(&dist, &GeneratorConfig::new(6));
+    let out = try_generate_from_distribution(&dist, &GeneratorConfig::new(6)).unwrap();
     assert!(out.graph.is_simple());
     let target = dist.num_edges() as f64;
     let got = out.graph.len() as f64;

@@ -19,8 +19,8 @@ use directed::{swap_directed_edges, DiEdge, DiEdgeList, DirectedSwapConfig};
 use graphcore::{DegreeDistribution, EdgeList};
 use std::sync::atomic::{AtomicBool, Ordering};
 use swap::{
-    CheckpointPolicy, KeyWidth, MixControl, MixOutcome, MixState, MixingBudget, RecoveryPolicy,
-    StopRule, SwapConfig, SwapWorkspace,
+    try_swap_edges, CheckpointPolicy, KeyWidth, MixControl, MixOutcome, MixState, MixingBudget,
+    RecoveryPolicy, StopRule, SwapStats, SwapWorkspace,
 };
 
 fn dist() -> DegreeDistribution {
@@ -44,23 +44,30 @@ fn serialize(graph: &EdgeList) -> Vec<u8> {
     buf
 }
 
+/// A fresh workspace on the serial reference kernel.
+fn serial_ws<E: swap::SwapEdge>() -> SwapWorkspace<E> {
+    let mut ws = SwapWorkspace::new();
+    ws.set_serial(true);
+    ws
+}
+
 /// One parallel swap run on a given pool size with a given workspace.
-fn run_on(threads: usize, cfg: &SwapConfig, ws: &mut SwapWorkspace) -> (Vec<u8>, u64) {
+fn run_on(threads: usize, (sweeps, seed): (usize, u64), ws: &mut SwapWorkspace) -> (Vec<u8>, u64) {
     pool(threads).install(|| {
         let mut g = seed_graph();
-        let stats = swap::swap_edges_with_workspace(&mut g, cfg, ws);
+        let stats = try_swap_edges(&mut g, sweeps, seed, ws).expect("fixed-sweep run");
         (serialize(&g), stats.total_successful())
     })
 }
 
 #[test]
 fn sweep_is_byte_identical_across_pool_sizes() {
-    let cfg = SwapConfig::new(8, 0x5CA1E);
+    let cfg = (8, 0x5CA1E);
     let mut serial = seed_graph();
-    let serial_stats = swap::swap_edges_serial(&mut serial, &cfg);
+    let serial_stats = try_swap_edges(&mut serial, cfg.0, cfg.1, &mut serial_ws()).unwrap();
     let want = (serialize(&serial), serial_stats.total_successful());
     for threads in [1usize, 2, 8, 16] {
-        let got = run_on(threads, &cfg, &mut SwapWorkspace::new());
+        let got = run_on(threads, cfg, &mut SwapWorkspace::new());
         assert_eq!(
             got, want,
             "{threads}-thread sharded sweep diverged from the serial reference"
@@ -72,10 +79,10 @@ fn sweep_is_byte_identical_across_pool_sizes() {
 fn sweep_is_byte_identical_across_shard_counts() {
     // The claim reduction is a commutative minimum per key, so the shard
     // count — like the pool size — is a pure performance lever.
-    let cfg = SwapConfig::new(8, 0xBEEF);
-    let want = run_on(2, &cfg, &mut SwapWorkspace::new());
+    let cfg = (8, 0xBEEF);
+    let want = run_on(2, cfg, &mut SwapWorkspace::new());
     for shards in [1usize, 2, 3, 16, 64] {
-        let got = run_on(2, &cfg, &mut SwapWorkspace::with_shards(shards));
+        let got = run_on(2, cfg, &mut SwapWorkspace::with_shards(shards));
         assert_eq!(got, want, "{shards}-shard sweep diverged from the default");
     }
 }
@@ -84,11 +91,11 @@ fn sweep_is_byte_identical_across_shard_counts() {
 fn shard_count_and_pool_size_compose() {
     // Vary both levers at once: every (threads, shards) cell of the grid
     // must land on the same bytes.
-    let cfg = SwapConfig::new(5, 0x0DDBA11);
-    let want = run_on(1, &cfg, &mut SwapWorkspace::new());
+    let cfg = (5, 0x0DDBA11);
+    let want = run_on(1, cfg, &mut SwapWorkspace::new());
     for threads in [2usize, 8, 16] {
         for shards in [1usize, 4, 32] {
-            let got = run_on(threads, &cfg, &mut SwapWorkspace::with_shards(shards));
+            let got = run_on(threads, cfg, &mut SwapWorkspace::with_shards(shards));
             assert_eq!(got, want, "({threads} threads, {shards} shards) diverged");
         }
     }
@@ -98,12 +105,12 @@ fn shard_count_and_pool_size_compose() {
 fn reused_workspace_survives_shard_count_changes() {
     // set_shards between runs rebuilds the tables lazily; results must not
     // depend on what shard count the workspace used before.
-    let cfg = SwapConfig::new(6, 77);
-    let want = run_on(2, &cfg, &mut SwapWorkspace::new());
+    let cfg = (6, 77);
+    let want = run_on(2, cfg, &mut SwapWorkspace::new());
     let mut ws = SwapWorkspace::new();
     for shards in [1usize, 16, 2, 0, 8] {
         ws.set_shards(shards);
-        let got = run_on(2, &cfg, &mut ws);
+        let got = run_on(2, cfg, &mut ws);
         assert_eq!(got, want, "reused workspace diverged at {shards} shards");
     }
 }
@@ -207,23 +214,44 @@ fn checkpoint_resume_is_byte_identical_across_pools_and_shards() {
     }
 }
 
+/// A fixed-sweep driver run under an explicit recovery policy.
+fn fixed_with_policy(
+    g: &mut EdgeList,
+    (sweeps, seed): (usize, u64),
+    ws: &mut SwapWorkspace,
+    policy: &RecoveryPolicy,
+) -> Result<SwapStats, swap::GenError> {
+    let budget = MixingBudget::sweeps(sweeps);
+    let mut ctl = MixControl::none();
+    let report = swap::try_mix_resumable(
+        g,
+        StopRule::FixedSweeps,
+        &budget,
+        seed,
+        &mut ctl,
+        ws,
+        policy,
+    )?;
+    Ok(report.stats)
+}
+
 #[test]
 fn grow_and_retry_on_sharded_tables_is_byte_identical() {
     // PR 3's recovery contract on the sharded path: a workspace pinned far
     // below the run's edge count overflows a shard, the policy doubles the
     // tables and replays, and the recovered run matches a correctly-sized
     // one on every pool size and shard count.
-    let cfg = SwapConfig::new(6, 0xFEED);
-    let want = run_on(1, &cfg, &mut SwapWorkspace::new());
+    let cfg = (6, 0xFEED);
+    let want = run_on(1, cfg, &mut SwapWorkspace::new());
     for threads in [1usize, 2, 8] {
         for shards in [1usize, 4, 16] {
             let (bytes, swaps, events) = pool(threads).install(|| {
                 let mut ws = SwapWorkspace::with_table_capacity(8);
                 ws.set_shards(shards);
                 let mut g = seed_graph();
-                let stats = swap::try_swap_edges_with_workspace(
+                let stats = fixed_with_policy(
                     &mut g,
-                    &cfg,
+                    cfg,
                     &mut ws,
                     // Pinned at 8 keys the tables need ~7 doublings to fit
                     // the run, beyond the default grow budget of 4.
@@ -253,9 +281,9 @@ fn grow_and_retry_on_sharded_tables_is_byte_identical() {
 fn grow_and_retry_failure_reports_sharded_table_label() {
     // With recovery disabled, the typed error must name the sharded table
     // so operators can tell which structure overflowed.
-    let err = swap::try_swap_edges_with_workspace(
+    let err = fixed_with_policy(
         &mut seed_graph(),
-        &SwapConfig::new(4, 9),
+        (4, 9),
         &mut SwapWorkspace::with_table_capacity(4),
         &RecoveryPolicy {
             max_grows: 0,
@@ -297,14 +325,15 @@ fn serialize_digraph(graph: &DiEdgeList) -> Vec<u8> {
 }
 
 /// Directed mixing runs on the shared claim/commit kernel, so it inherits
-/// the determinism contract: `swap_directed_edges` output is byte-identical
-/// to the serial reference on every pool size, and so is every shard count
-/// and key width of a caller-owned directed workspace.
+/// the determinism contract: `swap_directed_edges`, the driver's
+/// fixed-sweep shorthand and the serial kernel give the same bytes on every
+/// pool size, and so does every shard count and key width of a
+/// caller-owned directed workspace.
 #[test]
 fn directed_sweep_is_byte_identical_across_pools_shards_and_key_widths() {
     let (sweeps, seed) = (8, 0xD1_5CA1E);
     let mut serial = seed_digraph();
-    let serial_stats = swap::swap_edges_serial(&mut serial, &SwapConfig::new(sweeps, seed));
+    let serial_stats = try_swap_edges(&mut serial, sweeps, seed, &mut serial_ws()).unwrap();
     let want = (serialize_digraph(&serial), serial_stats.total_successful());
     assert!(want.1 > 0, "fixture must accept swaps");
     assert_ne!(
@@ -319,23 +348,29 @@ fn directed_sweep_is_byte_identical_across_pools_shards_and_key_widths() {
             (serialize_digraph(&g), stats.total())
         });
         assert!(got == want, "{threads}-thread directed run diverged");
+        let got = pool(threads).install(|| {
+            let mut g = seed_digraph();
+            let stats = try_swap_edges(&mut g, sweeps, seed, &mut SwapWorkspace::new()).unwrap();
+            (serialize_digraph(&g), stats.total_successful())
+        });
+        assert!(got == want, "{threads}-thread shorthand run diverged");
         for shards in [1usize, 4, 16] {
             for width in [KeyWidth::W32, KeyWidth::W64, KeyWidth::Wide] {
-                let got = pool(threads).install(|| {
-                    let mut g = seed_digraph();
-                    let mut ws = SwapWorkspace::<DiEdge>::with_shards(shards);
-                    ws.set_key_width(width);
-                    let stats = swap::swap_edges_with_workspace(
-                        &mut g,
-                        &SwapConfig::new(sweeps, seed),
-                        &mut ws,
+                for serial in [false, true] {
+                    let got = pool(threads).install(|| {
+                        let mut g = seed_digraph();
+                        let mut ws = SwapWorkspace::<DiEdge>::with_shards(shards);
+                        ws.set_key_width(width);
+                        ws.set_serial(serial);
+                        let stats = try_swap_edges(&mut g, sweeps, seed, &mut ws).unwrap();
+                        (serialize_digraph(&g), stats.total_successful())
+                    });
+                    assert!(
+                        got == want,
+                        "{threads} threads x {shards} shards x {width} (serial {serial}): \
+                         directed run diverged"
                     );
-                    (serialize_digraph(&g), stats.total_successful())
-                });
-                assert!(
-                    got == want,
-                    "{threads} threads x {shards} shards x {width}: directed run diverged"
-                );
+                }
             }
         }
     }

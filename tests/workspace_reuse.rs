@@ -5,11 +5,22 @@
 //! with a from-scratch `simplicity_report` after every sweep.
 
 use graphcore::{DegreeDistribution, EdgeList};
-use swap::{swap_edges_serial_with_workspace, swap_edges_with_workspace};
-use swap::{SwapConfig, SwapStats, SwapWorkspace};
+use swap::{SwapStats, SwapWorkspace};
 
 fn ring(n: u32) -> EdgeList {
     EdgeList::from_pairs((0..n).map(|i| (i, (i + 1) % n)))
+}
+
+/// A fixed-sweep run over `ws`.
+fn run(g: &mut EdgeList, sweeps: usize, seed: u64, ws: &mut SwapWorkspace) -> SwapStats {
+    swap::try_swap_edges(g, sweeps, seed, ws).expect("fixed-sweep run")
+}
+
+/// A fresh workspace on the serial kernel.
+fn serial_ws() -> SwapWorkspace {
+    let mut ws = SwapWorkspace::new();
+    ws.set_serial(true);
+    ws
 }
 
 fn stats_eq(a: &SwapStats, b: &SwapStats) {
@@ -25,14 +36,12 @@ fn stats_eq(a: &SwapStats, b: &SwapStats) {
 
 #[test]
 fn reused_workspace_matches_fresh_serial() {
-    let mut reused = SwapWorkspace::new();
+    let mut reused = serial_ws();
     for (n, seed) in [(64u32, 7u64), (500, 8), (100, 9), (2000, 10), (64, 11)] {
-        let cfg = SwapConfig::new(6, seed);
         let mut fresh_g = ring(n);
-        let fresh_stats =
-            swap_edges_serial_with_workspace(&mut fresh_g, &cfg, &mut SwapWorkspace::new());
+        let fresh_stats = run(&mut fresh_g, 6, seed, &mut serial_ws());
         let mut reused_g = ring(n);
-        let reused_stats = swap_edges_serial_with_workspace(&mut reused_g, &cfg, &mut reused);
+        let reused_stats = run(&mut reused_g, 6, seed, &mut reused);
         assert_eq!(fresh_g, reused_g, "n={n} seed={seed}");
         stats_eq(&fresh_stats, &reused_stats);
     }
@@ -41,10 +50,9 @@ fn reused_workspace_matches_fresh_serial() {
 #[test]
 fn reused_workspace_matches_fresh_across_pool_sizes() {
     // The reference: serial, fresh workspace.
-    let cfg = SwapConfig::new(5, 0xABCD_EF01);
+    let (sweeps, seed) = (5, 0xABCD_EF01);
     let mut expect = ring(600);
-    let expect_stats =
-        swap_edges_serial_with_workspace(&mut expect, &cfg, &mut SwapWorkspace::new());
+    let expect_stats = run(&mut expect, sweeps, seed, &mut serial_ws());
     for threads in [1usize, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -55,9 +63,9 @@ fn reused_workspace_matches_fresh_across_pool_sizes() {
             // compared against the fresh-workspace reference.
             let mut ws = SwapWorkspace::new();
             let mut warmup = ring(900); // grows buffers past the test size
-            swap_edges_with_workspace(&mut warmup, &SwapConfig::new(2, 1), &mut ws);
+            run(&mut warmup, 2, 1, &mut ws);
             let mut g = ring(600);
-            let stats = swap_edges_with_workspace(&mut g, &cfg, &mut ws);
+            let stats = run(&mut g, sweeps, seed, &mut ws);
             assert_eq!(g, expect, "threads={threads}");
             stats_eq(&stats, &expect_stats);
         });
@@ -66,11 +74,10 @@ fn reused_workspace_matches_fresh_across_pool_sizes() {
 
 #[test]
 fn with_capacity_preallocation_changes_nothing() {
-    let cfg = SwapConfig::new(4, 99);
     let mut a = ring(300);
-    swap_edges_with_workspace(&mut a, &cfg, &mut SwapWorkspace::new());
+    run(&mut a, 4, 99, &mut SwapWorkspace::new());
     let mut b = ring(300);
-    swap_edges_with_workspace(&mut b, &cfg, &mut SwapWorkspace::with_capacity(4096));
+    run(&mut b, 4, 99, &mut SwapWorkspace::with_capacity(4096));
     assert_eq!(a, b);
 }
 
@@ -89,26 +96,23 @@ fn multigraph() -> EdgeList {
 
 /// The incremental counters must agree with a from-scratch
 /// `simplicity_report` after **every** sweep. Per-iteration seeds depend
-/// only on `(cfg.seed, iteration)`, so a `k`-iteration run reproduces the
+/// only on `(seed, iteration)`, so a `k`-iteration run reproduces the
 /// state after sweep `k` of a longer run; recomputing the report on that
-/// state cross-checks iteration `k`'s incremental counts.
+/// state cross-checks iteration `k`'s incremental counts. The input is
+/// not simple, so the runs track violations without being asked to.
 #[test]
 fn incremental_violation_counts_are_exact() {
     let seed = 0x5EED_CAFE;
     let total = 12usize;
-    let mut cfg = SwapConfig::new(total, seed);
-    cfg.track_violations = true;
     let mut tracked = multigraph();
     let report0 = tracked.simplicity_report();
     assert!(report0.self_loops >= 3 && report0.multi_edges >= 4);
-    let stats = swap_edges_with_workspace(&mut tracked, &cfg, &mut SwapWorkspace::new());
+    let stats = run(&mut tracked, total, seed, &mut SwapWorkspace::new());
     assert_eq!(stats.iterations.len(), total);
     let mut ws = SwapWorkspace::new();
     for k in 1..=total {
         let mut g = multigraph();
-        let mut sub = SwapConfig::new(k, seed);
-        sub.track_violations = true;
-        swap_edges_with_workspace(&mut g, &sub, &mut ws);
+        run(&mut g, k, seed, &mut ws);
         let report = g.simplicity_report();
         let it = &stats.iterations[k - 1];
         assert_eq!(it.self_loops, report.self_loops, "sweep {k}");
@@ -124,9 +128,7 @@ fn incremental_violation_counts_are_exact() {
 #[test]
 fn violation_counts_monotone_and_reach_zero() {
     let mut g = multigraph();
-    let mut cfg = SwapConfig::new(60, 3);
-    cfg.track_violations = true;
-    let stats = swap_edges_with_workspace(&mut g, &cfg, &mut SwapWorkspace::new());
+    let stats = run(&mut g, 60, 3, &mut SwapWorkspace::new());
     let totals: Vec<u64> = stats
         .iterations
         .iter()
@@ -151,7 +153,7 @@ fn ensembles_share_a_workspace_and_stay_deterministic() {
         let mut fresh = observed.clone();
         let sub = nullmodel::GeneratorConfig::new(nullmodel::ensemble_member_seed(17, k))
             .with_swap_iterations(6);
-        nullmodel::generate_from_edge_list(&mut fresh, &sub);
+        nullmodel::try_generate_from_edge_list(&mut fresh, &sub).unwrap();
         assert_eq!(&fresh, g, "sample {k} differs from fresh-workspace run");
     }
 }
